@@ -13,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptHeader, EmptyAudio, UnsupportedFormat
+from .errors import CorruptHeader, EmptyAudio, NonFiniteSamples, UnsupportedFormat
 
 _FORMAT_PCM = 0x0001
 _FORMAT_IEEE_FLOAT = 0x0003
 _FORMAT_EXTENSIBLE = 0xFFFE
+# RIFF/data size written by streaming encoders (piped ffmpeg, sox) that cannot seek back
+_STREAMING_SIZE = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -43,13 +45,16 @@ def decode_wav(path) -> AudioBuffer:
     Multi-channel input is downmixed by per-frame arithmetic mean; integer
     samples are scaled by 2^(bits-1) so the most negative code maps to -1.0.
 
-    Raises UnsupportedFormat, CorruptHeader or EmptyAudio.
+    Raises UnsupportedFormat, CorruptHeader, EmptyAudio or NonFiniteSamples.
     """
     data = Path(path).read_bytes()
     fmt, raw = _parse_riff(data)
     samples = _decode_payload(raw, fmt)
     if samples.size == 0:
         raise EmptyAudio(f"{path}: data chunk holds zero frames")
+    bad = samples.size - np.count_nonzero(np.isfinite(samples))
+    if bad:
+        raise NonFiniteSamples(f"{path}: {bad} non-finite (NaN or infinite) samples")
     if fmt.channels > 1:
         samples = samples.reshape(-1, fmt.channels).mean(axis=1)
     samples = np.clip(samples, -1.0, 1.0)
@@ -83,7 +88,7 @@ def _parse_riff(data: bytes):
     if data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise CorruptHeader("missing RIFF/WAVE magic")
     riff_size = struct.unpack_from("<I", data, 4)[0]
-    if riff_size + 8 > len(data):
+    if riff_size != _STREAMING_SIZE and riff_size + 8 > len(data):
         raise CorruptHeader("RIFF size exceeds file length")
 
     fmt = None
@@ -93,6 +98,12 @@ def _parse_riff(data: bytes):
         cid = data[pos : pos + 4]
         size = struct.unpack_from("<I", data, pos + 4)[0]
         body_start = pos + 8
+        if cid == b"data" and size == _STREAMING_SIZE and fmt is not None:
+            # written before the length was known: the data runs to the end of
+            # the file, cut to whole frames
+            frame = fmt.bits // 8 * fmt.channels
+            raw = data[body_start : body_start + (len(data) - body_start) // frame * frame]
+            break
         if body_start + size > len(data):
             raise CorruptHeader(f"chunk {cid!r} overruns file end")
         body = data[body_start : body_start + size]

@@ -26,6 +26,7 @@ from .errors import (
     CorruptHeader,
     DegenerateData,
     EmptyAudio,
+    NonFiniteSamples,
     SoundnetError,
     UnsupportedFormat,
 )
@@ -143,7 +144,7 @@ def cmd_analyze(path: str, config: RunConfig) -> int:
 
 def _analysis_exit(exc, path) -> int:
     print(f"error: {path}: {exc}", file=sys.stderr)
-    if isinstance(exc, (UnsupportedFormat, CorruptHeader, EmptyAudio, OSError)):
+    if isinstance(exc, (UnsupportedFormat, CorruptHeader, EmptyAudio, NonFiniteSamples, OSError)):
         return 2
     return 3  # InsufficientData / EmptyNetwork: nothing usable was extracted
 

@@ -19,6 +19,10 @@ class EmptyAudio(SoundnetError):
     """The data chunk holds zero frames."""
 
 
+class NonFiniteSamples(SoundnetError):
+    """A float payload holds NaN or infinite samples."""
+
+
 # --- spectral ---
 
 class EmptyInput(SoundnetError):

@@ -1,10 +1,11 @@
 """Spectral decomposition and frequency-sequence extraction.
 
-The transform is an in-package iterative radix-2 FFT (inputs are zero-padded
-to the next power of two), evaluated against a direct quadratic summation in
-the self-test suite. Peak frequencies are always exact bin centers k*fs/N, so
-every downstream artifact is bit-reproducible; the bin width is the documented
-accuracy bound.
+The transform is numpy.fft (pocketfft) on inputs zero-padded to the next
+power of two, checked against a direct quadratic summation in the self-test
+suite. The STFT frames the signal with strided views and transforms it in
+bounded chunks of frames; both modes share one vectorized peak picker. Peak
+frequencies are always exact bin centers k*fs/N, so every downstream artifact
+is bit-reproducible; the bin width is the documented accuracy bound.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioBuffer
 from .errors import EmptyInput
 
-_TWIDDLE_CACHE_MAX = 1 << 16
-_twiddle_cache: dict[int, np.ndarray] = {}
-_bitrev_cache: dict[int, np.ndarray] = {}
+# STFT frames per rfft batch; bounds the working set (about 20 MiB at frame_size 4096)
+_CHUNK_FRAMES = 256
 
 
 class SequenceMode(enum.Enum):
@@ -86,82 +87,55 @@ def next_pow2(n: int) -> int:
 def dft(samples, sample_rate_hz: float = 1.0) -> Spectrum:
     """Full complex DFT, zero-padded to the next power of two.
 
+    The negative-frequency half is the conjugate mirror of the real-input
+    transform, so bins [0, N/2] equal np.fft.rfft bit for bit, as in the STFT.
     Raises EmptyInput on an empty sequence.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0:
         raise EmptyInput("cannot transform an empty signal")
     n = next_pow2(x.size)
-    buf = np.zeros(n, dtype=np.complex128)
-    buf[: x.size] = x
-    return Spectrum(bins=_fft_pow2(buf), n_fft=n, sample_rate_hz=sample_rate_hz)
+    half = np.fft.rfft(x, n)
+    bins = np.concatenate([half, np.conj(half[-2:0:-1])])
+    return Spectrum(bins=bins, n_fft=n, sample_rate_hz=sample_rate_hz)
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    cached = _bitrev_cache.get(n)
-    if cached is not None:
-        return cached
-    levels = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.intp)
-    rev = np.zeros(n, dtype=np.intp)
-    for bit in range(levels):
-        rev |= ((idx >> bit) & 1) << (levels - 1 - bit)
-    if n <= _TWIDDLE_CACHE_MAX:
-        _bitrev_cache[n] = rev
-    return rev
+def _peak_mask(mag: np.ndarray) -> np.ndarray:
+    """Strict local maxima along axis 1; a plateau counts once, at its lowest index.
 
-
-def _twiddles(n: int) -> np.ndarray:
-    """exp(-2*pi*i*k/n) for k in [0, n/2); stage tables are strided views of this."""
-    cached = _twiddle_cache.get(n)
-    if cached is not None:
-        return cached
-    w = np.exp((-2j * np.pi / n) * np.arange(n // 2))
-    if n <= _TWIDDLE_CACHE_MAX:
-        _twiddle_cache[n] = w
-    return w
-
-
-def _fft_pow2(buf: np.ndarray) -> np.ndarray:
-    """In-place iterative Cooley-Tukey on a power-of-two complex buffer."""
-    n = buf.size
-    if n == 1:
-        return buf
-    a = buf[_bit_reverse_indices(n)]
-    w = _twiddles(n)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = w[:: n // size]
-        m = a.reshape(-1, size)
-        t = m[:, half:] * tw
-        m[:, half:] = m[:, :half] - t
-        m[:, :half] += t
-        size *= 2
-    return a
+    A peak is a sample strictly above its left neighbor whose next *change* to
+    the right is a descent, which handles runs of equal values exactly. The
+    first and last columns are never peaks.
+    """
+    rows, n = mag.shape
+    mask = np.zeros((rows, n), dtype=bool)
+    if n < 3:
+        return mask
+    d = np.sign(np.diff(mag, axis=1))
+    # next nonzero diff at-or-after each position (0 where the tail is flat)
+    nz = d
+    flat = d == 0
+    if flat.any():
+        src = np.where(flat, n - 1, np.arange(n - 1))
+        src = np.minimum.accumulate(src[:, ::-1], axis=1)[:, ::-1]
+        nz = np.take_along_axis(np.pad(d, ((0, 0), (0, 1))), src, axis=1)
+    mask[:, 1:-1] = (d[:, :-1] > 0) & (nz[:, 1:] < 0)
+    return mask
 
 
 def _local_maxima(mag: np.ndarray) -> np.ndarray:
-    """Indices of strict local maxima; a plateau counts once, at its lowest index.
+    """Indices of the strict local maxima of a 1-D array (see _peak_mask)."""
+    return np.flatnonzero(_peak_mask(np.asarray(mag)[None, :])[0])
 
-    A peak is a sample strictly above its left neighbor whose next *change* to
-    the right is a descent, which handles runs of equal values exactly.
+
+def _candidates(mag: np.ndarray, rel_threshold: float):
+    """Peaks of each row of a half spectrum (columns 0..N/2) above the row's relative threshold.
+
+    Returns (mask, row_max): peaks lie in bins [1, N/2), and row_max is the
+    maximum over that same range.
     """
-    n = mag.size
-    if n < 3:
-        return np.empty(0, dtype=np.intp)
-    d = np.sign(np.diff(mag))
-    # next nonzero diff at-or-after each position (0 where the tail is flat)
-    nz = d.copy()
-    flat = nz == 0
-    if flat.any():
-        idx = np.arange(n - 1)
-        src = np.where(~flat, idx, n - 1)
-        src = np.minimum.accumulate(src[::-1])[::-1]
-        filled = np.where(src < n - 1, d[np.minimum(src, n - 2)], 0.0)
-        nz = np.where(flat, filled, nz)
-    k = np.arange(1, n - 1)
-    return k[(d[k - 1] > 0) & (nz[k] < 0)]
+    row_max = mag[:, 1:-1].max(axis=1, initial=0.0)
+    return _peak_mask(mag) & (mag >= rel_threshold * row_max[:, None]), row_max
 
 
 def extract_sequence_full(spectrum: Spectrum, params: PeakParams | None = None) -> FrequencySequence:
@@ -172,17 +146,9 @@ def extract_sequence_full(spectrum: Spectrum, params: PeakParams | None = None) 
     same positive-frequency range). Silence yields an empty sequence.
     """
     params = params or PeakParams()
-    half = spectrum.n_fft // 2
-    mag = np.abs(spectrum.bins[: half + 1])
-    peaks = _local_maxima(mag)
-    peaks = peaks[(peaks >= 1) & (peaks < half)]
-    top = mag[1:half].max(initial=0.0)
-    if top > 0.0 and peaks.size:
-        floor = top * 10.0 ** (params.floor_db / 20.0)
-        keep = mag[peaks] >= max(params.rel_threshold * top, floor)
-        peaks = peaks[keep]
-    else:
-        peaks = peaks[:0]
+    mag = np.abs(spectrum.bins[: spectrum.n_fft // 2 + 1])
+    mask, top = _candidates(mag[None, :], params.rel_threshold)
+    peaks = np.flatnonzero(mask[0] & (mag >= top[0] * 10.0 ** (params.floor_db / 20.0)))
     values = peaks.astype(np.float64) * (spectrum.sample_rate_hz / spectrum.n_fft)
     return FrequencySequence(
         values_hz=values,
@@ -211,36 +177,30 @@ def stft_peak_frames(audio: AudioBuffer, params: PeakParams | None = None) -> li
     x = audio.samples
     if x.size < size:
         x = np.concatenate([x, np.zeros(size - x.size)])
-    n_frames = 1 + (x.size - size) // hop
+    frames = sliding_window_view(x, size)[::hop]
     window = hann_window(size)
-    bin_hz = audio.sample_rate_hz / size
-    half = size // 2
 
     global_max = 0.0
-    candidates = []  # (bins, magnitudes) per frame, pre-filtered by rel_threshold
-    for i in range(n_frames):
-        frame = x[i * hop : i * hop + size] * window
-        spec = _fft_pow2(frame.astype(np.complex128))
-        mag = np.abs(spec[: half + 1])
-        frame_max = mag[1:half].max(initial=0.0)
-        global_max = max(global_max, frame_max)
-        peaks = _local_maxima(mag)
-        peaks = peaks[(peaks >= 1) & (peaks < half)]
-        if frame_max > 0.0 and peaks.size:
-            peaks = peaks[mag[peaks] >= params.rel_threshold * frame_max]
-        else:
-            peaks = peaks[:0]
-        candidates.append((peaks, mag[peaks]))
-
-    floor = global_max * 10.0 ** (params.floor_db / 20.0)
-    frames = []
-    for peaks, mags in candidates:
-        keep = mags >= floor if global_max > 0.0 else np.zeros(len(mags), dtype=bool)
-        peaks, mags = peaks[keep], mags[keep]
-        # descending magnitude; stable sort keeps the lower bin first on ties
-        order = np.argsort(-mags, kind="stable")[: params.top_k]
-        frames.append(peaks[order].astype(np.float64) * bin_hz)
-    return frames
+    rows, bins, mags = [], [], []  # per frame, its top_k candidates, strongest first
+    for start in range(0, len(frames), _CHUNK_FRAMES):
+        mag = np.abs(np.fft.rfft(frames[start : start + _CHUNK_FRAMES] * window, axis=-1))
+        mask, frame_max = _candidates(mag, params.rel_threshold)
+        global_max = max(global_max, frame_max.max())
+        r, k = np.nonzero(mask)
+        m = mag[r, k]
+        # descending magnitude, lower bin first on ties
+        order = np.lexsort((k, -m, r))
+        r, k, m = r[order], k[order], m[order]
+        top = np.arange(r.size) - np.searchsorted(r, r) < params.top_k
+        rows.append(r[top] + start)
+        bins.append(k[top])
+        mags.append(m[top])
+    row, k, m = (np.concatenate(a) for a in (rows, bins, mags))
+    # the floor only removes a frame's weakest peaks, so applying it after the
+    # top_k cut keeps the same set as applying it before
+    keep = m >= global_max * 10.0 ** (params.floor_db / 20.0)
+    values = k[keep].astype(np.float64) * (audio.sample_rate_hz / size)
+    return np.split(values, np.cumsum(np.bincount(row[keep], minlength=len(frames)))[:-1])
 
 
 def extract_sequence_stft(audio: AudioBuffer, params: PeakParams | None = None) -> FrequencySequence:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import float32_payload, pcm16_payload, pcm24_payload, wav_bytes
 from soundnet import audio_io
-from soundnet.errors import CorruptHeader, EmptyAudio, UnsupportedFormat
+from soundnet.errors import CorruptHeader, EmptyAudio, NonFiniteSamples, UnsupportedFormat
 
 
 def write(tmp_path, data, name="x.wav"):
@@ -155,3 +155,54 @@ def test_ragged_data_chunk(tmp_path):
     path = write(tmp_path, wav_bytes(pcm16_payload([1, 2, 3]) + b"\x01"))
     with pytest.raises(CorruptHeader):
         audio_io.decode_wav(path)
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_float_samples_rejected(tmp_path, bits, bad):
+    values = [0.25, bad, -0.5, bad, 0.0, 0.0]
+    payload = struct.pack(f"<{len(values)}{'f' if bits == 32 else 'd'}", *values)
+    path = write(tmp_path, wav_bytes(payload, channels=2, bits=bits, format_code=3))
+    with pytest.raises(NonFiniteSamples, match="2 non-finite"):
+        audio_io.decode_wav(path)
+
+
+def _streaming_sizes(canonical: bytes, riff: bool, data: bool) -> bytes:
+    """The canonical file with its RIFF and/or data size replaced by the 0xFFFFFFFF placeholder."""
+    out = bytearray(canonical)
+    if riff:
+        out[4:8] = b"\xff" * 4
+    if data:
+        at = out.index(b"data") + 4
+        out[at : at + 4] = b"\xff" * 4
+    return bytes(out)
+
+
+@pytest.mark.parametrize("riff, data", [(True, False), (False, True), (True, True)])
+def test_streaming_placeholder_sizes_decode_like_canonical(tmp_path, riff, data):
+    rng = np.random.default_rng(7)
+    canonical = wav_bytes(pcm16_payload(rng.integers(-30000, 30000, size=600).tolist()), channels=2)
+    want = audio_io.decode_wav(write(tmp_path, canonical, "canonical.wav"))
+    streamed = write(tmp_path, _streaming_sizes(canonical, riff, data), "streamed.wav")
+    got = audio_io.decode_wav(streamed)
+    assert got.sample_rate_hz == want.sample_rate_hz
+    assert np.array_equal(got.samples, want.samples)
+
+
+def test_streaming_data_size_clamps_to_whole_frames(tmp_path):
+    canonical = wav_bytes(pcm24_payload(list(range(-300, 300))), channels=2, bits=24)
+    want = audio_io.decode_wav(write(tmp_path, canonical, "canonical.wav"))
+    # a partial frame at the end (5 of 6 bytes) is dropped, not decoded
+    streamed = _streaming_sizes(canonical, riff=True, data=True) + b"\x01\x02\x03\x04\x05"
+    got = audio_io.decode_wav(write(tmp_path, streamed, "streamed.wav"))
+    assert np.array_equal(got.samples, want.samples)
+
+
+def test_truncated_canonical_header_still_corrupt(tmp_path):
+    canonical = wav_bytes(pcm16_payload(list(range(100))))
+    with pytest.raises(CorruptHeader):
+        audio_io.decode_wav(write(tmp_path, canonical[:-20], "cut.wav"))
+    # a placeholder RIFF size does not excuse a data chunk that overruns the file
+    riff_only = _streaming_sizes(canonical, riff=True, data=False)[:-20]
+    with pytest.raises(CorruptHeader):
+        audio_io.decode_wav(write(tmp_path, riff_only, "cut_riff.wav"))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import sine
+from conftest import sine, wav_bytes
 from soundnet import audio_io
 from soundnet.cli import RunConfig, _piece_ids, main
 
@@ -74,6 +74,28 @@ def test_analyze_undecodable_exit_2(tmp_path, capsys):
     assert main(["analyze", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert main(["analyze", str(tmp_path / "missing.wav"), "--out", str(tmp_path / "o")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_samples_exit_2_and_corpus_skip(tmp_path, capsys, dtype, bad):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    write_melody(corpus_dir / "good1.wav", seed=70)
+    write_melody(corpus_dir / "good2.wav", seed=71)
+    x = sine(440.0, 1.0, 8000)
+    x[1000] = bad
+    payload = x.astype(dtype).tobytes()
+    wav = corpus_dir / "bad.wav"
+    wav.write_bytes(wav_bytes(payload, rate=8000, bits=8 * np.dtype(dtype).itemsize, format_code=3))
+    assert main(["analyze", str(wav), "--out", str(tmp_path / "o")]) == 2
+    assert "1 non-finite" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["corpus", str(corpus_dir), "--out", str(out), *MELODY_FLAGS]) == 0
+    corpus_json = json.loads((out / "corpus.json").read_text(encoding="utf-8"))
+    assert corpus_json["pieces"] == ["good1", "good2"]
+    assert "1 non-finite" in corpus_json["skipped"]["bad"]
+    assert not (out / "bad.json").exists()
 
 
 def test_full_mode_flag(tmp_path):
