@@ -378,8 +378,24 @@ def ks_test(fit: FittedDistribution, samples) -> KsResult:
     return KsResult(statistic_d=d, p_value=_kolmogorov_q(lam), n=n)
 
 
+# Below this lambda the alternating series has not reached its 1e-12 stopping
+# term within its 100 terms (that needs 2 * 100^2 * lambda^2 >= ln(2e12)).
+_KS_SERIES_MIN_LAMBDA = 0.04
+
+
 def _kolmogorov_q(lam: float) -> float:
-    """Q_KS(lambda) = 2 * sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2), clamped to [0, 1]."""
+    """Q_KS(lambda) = 2 * sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2), clamped to [0, 1].
+
+    For small lambda the equivalent theta-function form
+    Q = 1 - sqrt(2 pi) / lambda * sum_{j>=1} exp(-(2j-1)^2 pi^2 / (8 lambda^2))
+    is used instead, as in Numerical Recipes' probks; its terms fall fast
+    exactly where the alternating series converges slowly.
+    """
+    if lam < _KS_SERIES_MIN_LAMBDA:
+        if lam <= 0.0:
+            return 1.0
+        y = math.exp(-math.pi * math.pi / (8.0 * lam * lam))
+        return min(1.0, max(0.0, 1.0 - _SQRT_2PI / lam * (y + y**9 + y**25 + y**49)))
     total = 0.0
     for j in range(1, 101):
         term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)

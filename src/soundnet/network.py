@@ -9,7 +9,8 @@ dropped and repeated edges collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +100,13 @@ def bin_of(freq_hz: float, grid: PitchGrid | None = None) -> PitchBin | None:
 
 @dataclass(frozen=True)
 class SoundNetwork:
-    """Undirected simple graph over pitch bins."""
+    """Undirected simple graph over pitch bins.
+
+    The clique search reads adjacency as one Python-int bitmask per node,
+    built from `edges` on first use: bit j of the mask at rank i is set iff
+    the bins of MIDI rank i and j are joined, ranks counting the nodes in
+    ascending MIDI order.
+    """
 
     grid: PitchGrid
     nodes: tuple          # PitchBin, ascending MIDI
@@ -113,11 +120,21 @@ class SoundNetwork:
         return len(self.nodes) == 1
 
     def node_by_midi(self, midi: int) -> PitchBin:
-        return self._index[midi]
+        return self._ranked[self._rank[midi]]
 
-    @property
-    def _index(self):
-        return {b.midi_lower: b for b in self.nodes}
+    @cached_property
+    def _ranked(self) -> tuple:
+        return tuple(sorted(self.nodes, key=lambda b: b.midi_lower))
+
+    @cached_property
+    def _rank(self) -> dict:
+        return {b.midi_lower: i for i, b in enumerate(self._ranked)}
+
+    @cached_property
+    def _masks(self) -> tuple:
+        rank = self._rank
+        pairs = np.array([(rank[a], rank[b]) for a, b in self.edges], dtype=np.intp).reshape(-1, 2)
+        return tuple(_adjacency_masks(len(self.nodes), pairs[:, 0], pairs[:, 1]))
 
     def adjacency(self) -> dict:
         adj = {b.midi_lower: set() for b in self.nodes}
@@ -125,6 +142,13 @@ class SoundNetwork:
             adj[a].add(b)
             adj[b].add(a)
         return adj
+
+
+def _adjacency_masks(n: int, i: np.ndarray, j: np.ndarray) -> list:
+    """One int bitmask per node from the index pairs (i[k], j[k]) of its edges."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[i, j] = adj[j, i] = True
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(adj, axis=1, bitorder="little")]
 
 
 def build_network(seq, grid: PitchGrid | None = None) -> SoundNetwork:
@@ -152,32 +176,28 @@ def build_network(seq, grid: PitchGrid | None = None) -> SoundNetwork:
 
     node_midis = np.unique(midis)
     nodes = tuple(grid_bin(int(m), grid) for m in node_midis)
+    n = len(nodes)
 
-    edges = set()
-    if midis.size > 1:
-        a, b = midis[:-1], midis[1:]
-        keep = a != b
-        lo = np.minimum(a[keep], b[keep])
-        hi = np.maximum(a[keep], b[keep])
-        edges = {(int(x), int(y)) for x, y in zip(lo, hi)}
+    # each undirected edge encoded once as lo * MIDI_HIGH + hi, lo < hi
+    a, b = midis[:-1], midis[1:]
+    keep = a != b
+    codes = np.unique(np.minimum(a[keep], b[keep]) * MIDI_HIGH + np.maximum(a[keep], b[keep]))
+    lo, hi = np.divmod(codes, MIDI_HIGH)
+    edges = frozenset(zip(lo.tolist(), hi.tolist()))
+    masks = _adjacency_masks(n, np.searchsorted(node_midis, lo), np.searchsorted(node_midis, hi))
 
     centrality = {}
-    n = len(nodes)
     if n >= 2:
-        degree = {int(m): 0 for m in node_midis}
-        for x, y in edges:
-            degree[x] += 1
-            degree[y] += 1
-        centrality = {m: degree[m] / (n - 1) for m in degree}
+        centrality = {b.midi_lower: mask.bit_count() / (n - 1) for b, mask in zip(nodes, masks)}
 
-    net = SoundNetwork(
+    return SoundNetwork(
         grid=grid,
         nodes=nodes,
-        edges=frozenset(edges),
+        edges=edges,
         degree_centrality=centrality,
+        largest_clique=_verified_clique(nodes, edges, masks),
         dropped_components=dropped,
     )
-    return replace(net, largest_clique=largest_clique(net))
 
 
 def degree_centrality(net: SoundNetwork) -> dict:
@@ -193,36 +213,68 @@ def degree_centrality(net: SoundNetwork) -> dict:
 def largest_clique(net: SoundNetwork) -> tuple:
     """Maximum clique as a tuple of PitchBins (ascending MIDI).
 
-    Bron-Kerbosch with pivoting; among maximum cliques of equal size the
-    lexicographically smallest sorted MIDI tuple wins. The result is
-    re-verified as a clique before returning.
+    Among maximum cliques of equal size the lexicographically smallest sorted
+    MIDI tuple wins. The result is re-verified as a clique before returning.
     """
-    adj = net.adjacency()
-    vertices = sorted(adj)
-    best: list[tuple] = []
+    return _verified_clique(net._ranked, net.edges, net._masks)
 
-    def expand(r: list, p: set, x: set):
-        if not p and not x:
-            candidate = tuple(sorted(r))
-            if not best or len(candidate) > len(best[0]) or (
-                len(candidate) == len(best[0]) and candidate < best[0]
-            ):
-                best[:] = [candidate]
-            return
-        pivot = max(p | x, key=lambda v: (len(adj[v] & p), -v))
-        for v in sorted(p - adj[pivot]):
-            expand(r + [v], p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
 
-    expand([], set(vertices), set())
-    clique = best[0] if best else ()
+def _verified_clique(ranked: tuple, edges: frozenset, masks) -> tuple:
+    """The bins of _max_clique(masks), checked pair by pair against the edge set."""
+    members = _max_clique(masks)
+    clique = tuple(b for i, b in enumerate(ranked) if members >> i & 1)
     for i, a in enumerate(clique):
         for b in clique[i + 1 :]:
-            if b not in adj[a]:
+            if (a.midi_lower, b.midi_lower) not in edges:
                 raise RuntimeError("internal error: clique verification failed")
-    index = net._index
-    return tuple(index[m] for m in clique)
+    return clique
+
+
+def _max_clique(masks) -> int:
+    """Bitmask of the maximum clique whose sorted index tuple is smallest.
+
+    Greedy-colouring branch and bound after Tomita & Seki (MCQ, 2003). The
+    depth-first search extends the current clique by each candidate in
+    ascending index order, the child's candidates being the later ones that
+    are adjacent to it. Cliques are therefore met in lexicographic order,
+    and since only a strictly larger clique replaces the best, the first
+    maximum clique met is the one kept.
+
+    The bound: at each search node the candidates are split greedily into
+    independent sets, each grown from the highest uncoloured index. A clique
+    holds at most one member of each set, so a clique among the candidates
+    from index v up is no larger than the number of sets whose top index is
+    >= v. Once that count cannot beat the best clique, neither can any
+    later branch, and the node is done.
+    """
+    excl = [~(mask | 1 << v) for v, mask in enumerate(masks)]
+    best_size = best = 0
+
+    def expand(size: int, members: int, cand: int):
+        nonlocal best_size, best
+        if size > best_size:
+            best_size, best = size, members
+        tops = []  # top index of each colour class, descending
+        rest = cand
+        while rest:
+            tops.append(rest.bit_length() - 1)
+            free = rest
+            while free:
+                v = free.bit_length() - 1
+                rest ^= 1 << v
+                free &= excl[v]
+        need = best_size - size  # a branch must add more than this many members
+        while cand and need < len(tops):
+            low = cand & -cand
+            v = low.bit_length() - 1
+            if v > tops[need]:
+                return
+            expand(size + 1, members | low, cand & masks[v])
+            cand ^= low
+            need = best_size - size
+
+    expand(0, 0, (1 << len(masks)) - 1)
+    return best
 
 
 # Octave buckets follow the A-note ladder: [A0-A1) starts at MIDI 21.

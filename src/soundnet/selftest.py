@@ -8,6 +8,7 @@ The test suite reuses them, and `soundnet selftest` runs them at install time.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,30 @@ def max_clique_size_bruteforce(n_vertices: int, edges) -> int:
         if ok:
             best = size
     return best
+
+
+def max_clique_bruteforce(n_vertices: int, edges) -> tuple:
+    """Lexicographically smallest maximum clique, as sorted vertex indices.
+
+    Tries the vertex subsets of each size with itertools.combinations, from
+    the largest size down. A subset is written as its smallest vertex v plus
+    some of v's later neighbours, which every clique whose smallest vertex is
+    v must be. Subsets of one size come in lexicographic order, so the first
+    clique found is the answer.
+    """
+    closed = [1 << v for v in range(n_vertices)]  # each vertex with its neighbors
+    for a, b in edges:
+        closed[a] |= 1 << b
+        closed[b] |= 1 << a
+    later = [[u for u in range(v + 1, n_vertices) if closed[v] >> u & 1] for v in range(n_vertices)]
+    for size in range(max(map(len, later), default=-1) + 1, 0, -1):
+        for v in range(n_vertices):
+            for rest in itertools.combinations(later[v], size - 1):
+                members = (v, *rest)
+                mask = sum(1 << u for u in members)
+                if all(mask & ~closed[u] == 0 for u in members):
+                    return members
+    return ()
 
 
 def spearman_rank_formula(x, y) -> float:
@@ -104,10 +129,9 @@ def run_selftest(seed: int = 42) -> list:
     mismatches = 0
     for _ in range(25):
         net = random_network(12, 0.5, rng)
-        bk = len(largest_clique(net))
         index = {b.midi_lower: i for i, b in enumerate(net.nodes)}
-        brute = max_clique_size_bruteforce(12, [(index[a], index[b]) for a, b in net.edges])
-        mismatches += bk != brute
+        got = tuple(index[b.midi_lower] for b in largest_clique(net))
+        mismatches += got != max_clique_bruteforce(12, [(index[a], index[b]) for a, b in net.edges])
     results.append(CheckResult("clique-vs-bruteforce", mismatches == 0, f"{mismatches} mismatches in 25 graphs"))
 
     worst = 0.0

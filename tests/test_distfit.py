@@ -125,6 +125,15 @@ def test_ks_p_value_against_tabulated():
         assert abs(distfit._kolmogorov_q(lam) - stats.kstwobign.sf(lam)) < 1e-6
 
 
+def test_ks_p_value_small_lambda_against_scipy():
+    # below the series cutoff the theta-function form takes over; lambda >= 1/(2 sqrt(n))
+    # puts 1e5-sample fits at lambda ~ 0.002
+    for lam in np.concatenate([np.geomspace(0.001, 0.3, 60), [0.0376, 0.04, 0.0401]]):
+        assert abs(distfit._kolmogorov_q(float(lam)) - stats.kstwobign.sf(lam)) < 1e-12
+    assert distfit._kolmogorov_q(0.005) == 1.0
+    assert distfit._kolmogorov_q(0.01) == 1.0
+
+
 def test_ks_self_fit_p_value(rng):
     draws = rng.exponential(scale=50.0, size=10_000)
     fit = distfit.fit_mle(DistFamily.EXPONENTIAL, draws)
