@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,6 @@ class RunConfig:
     floor_db: float = -60.0
     alignment: str = "union"
     out: str = "."
-    seed: int = 0
 
     def peak_params(self) -> spectral.PeakParams:
         return spectral.PeakParams(
@@ -249,7 +248,6 @@ def _build_parser():
         p.add_argument("--floor-db", type=float, default=-60.0)
         p.add_argument("--alignment", choices=("union", "intersection"), default="union")
         p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or .)")
-        p.add_argument("--seed", type=int, default=0)
 
     p_analyze = sub.add_parser("analyze", help="analyze one WAV file")
     p_analyze.add_argument("file")
@@ -265,18 +263,7 @@ def _build_parser():
     return parser, {"analyze": p_analyze, "corpus": p_corpus}
 
 
-_CONFIG_KEYS = (
-    "mode",
-    "a4_hz",
-    "frame_size",
-    "hop",
-    "top_k",
-    "rel_threshold",
-    "floor_db",
-    "alignment",
-    "out",
-    "seed",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def _apply_config_file(parser, subparser, argv: list) -> None:
@@ -294,19 +281,10 @@ def _apply_config_file(parser, subparser, argv: list) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    out = args.out if args.out is not None else os.environ.get(ENV_OUT, ".")
-    config = RunConfig(
-        mode=args.mode,
-        a4_hz=args.a4_hz,
-        frame_size=args.frame_size,
-        hop=args.hop,
-        top_k=args.top_k,
-        rel_threshold=args.rel_threshold,
-        floor_db=args.floor_db,
-        alignment=args.alignment,
-        out=out,
-        seed=args.seed,
-    )
+    values = {key: getattr(args, key) for key in _CONFIG_KEYS}
+    if values["out"] is None:
+        values["out"] = os.environ.get(ENV_OUT, ".")
+    config = RunConfig(**values)
     config.validate()
     return config
 

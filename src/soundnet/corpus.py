@@ -113,11 +113,15 @@ def degree_correlation_matrix(networks: dict, alignment: str = ALIGN_UNION) -> C
                 value = None
             matrix[i][j] = matrix[j][i] = value
 
+    return _comparison(networks, matrix, alignment)
+
+
+def _comparison(networks: dict, corr_matrix, alignment: str) -> CorpusComparison:
     return CorpusComparison(
-        piece_ids=pieces,
-        corr_matrix=matrix,
-        clique_histograms={p: clique_octave_histogram(networks[p].largest_clique) for p in pieces},
-        clique_sizes={p: len(networks[p].largest_clique) for p in pieces},
+        piece_ids=tuple(networks),
+        corr_matrix=corr_matrix,
+        clique_histograms={p: clique_octave_histogram(net.largest_clique) for p, net in networks.items()},
+        clique_sizes={p: len(net.largest_clique) for p, net in networks.items()},
         alignment=alignment,
     )
 
@@ -137,14 +141,7 @@ def corpus_report(analyses: dict, alignment: str = ALIGN_UNION) -> CorpusReport:
     if len(pieces) >= 2:
         comparison = degree_correlation_matrix(networks, alignment=alignment)
     else:
-        piece = pieces[0]
-        comparison = CorpusComparison(
-            piece_ids=pieces,
-            corr_matrix=None,
-            clique_histograms={piece: clique_octave_histogram(networks[piece].largest_clique)},
-            clique_sizes={piece: len(networks[piece].largest_clique)},
-            alignment=alignment,
-        )
+        comparison = _comparison(networks, None, alignment)
 
     rows = []
     counts: dict = {}

@@ -10,7 +10,6 @@ dropped and repeated edges collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -100,41 +99,51 @@ def bin_of(freq_hz: float, grid: PitchGrid | None = None) -> PitchBin | None:
 
 @dataclass(frozen=True)
 class SoundNetwork:
-    """Undirected simple graph over pitch bins.
+    """Undirected simple graph over pitch bins, with its derived state.
 
-    The clique search reads adjacency as one Python-int bitmask per node,
-    built from `edges` on first use: bit j of the mask at rank i is set iff
-    the bins of MIDI rank i and j are joined, ranks counting the nodes in
-    ascending MIDI order.
+    Construction is the one place that state is made, however the network
+    was built. `nodes` is stored in ascending MIDI order, which gives each
+    node its rank. Adjacency is one Python-int bitmask per node, built from
+    `edges`: bit j of the mask at rank i is set iff the bins of rank i and j
+    are joined. Degree centrality and the largest clique come from the masks.
+    Raises ValueError for two nodes with one MIDI number, and for an edge that
+    is not (lo, hi) with lo < hi over the nodes' MIDI numbers.
     """
 
     grid: PitchGrid
-    nodes: tuple          # PitchBin, ascending MIDI
+    nodes: tuple          # PitchBin, stored in ascending MIDI order
     edges: frozenset      # frozenset of (midi_a, midi_b) with midi_a < midi_b
-    degree_centrality: dict = field(default_factory=dict)  # midi -> deg/(N-1); empty when N == 1
-    largest_clique: tuple = ()
     dropped_components: int = 0
+    degree_centrality: dict = field(init=False)  # midi -> deg/(N-1); empty when N == 1
+    largest_clique: tuple = field(init=False)
+
+    def __post_init__(self):
+        nodes = tuple(sorted(self.nodes, key=lambda b: b.midi_lower))
+        rank = {b.midi_lower: i for i, b in enumerate(nodes)}
+        n = len(nodes)
+        if len(rank) < n:
+            raise ValueError("two nodes share a MIDI number")
+        masks = [0] * n
+        for a, b in self.edges:
+            i, j = rank.get(a, -1), rank.get(b, -1)
+            if i < 0 or i >= j:  # an end that is not a node has rank -1
+                raise ValueError(f"edge {(a, b)} is not (lo, hi) with lo < hi over the node MIDI numbers")
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_rank", rank)
+        object.__setattr__(self, "_masks", tuple(masks))
+        centrality = {b.midi_lower: mask.bit_count() / (n - 1) for b, mask in zip(nodes, masks)} if n >= 2 else {}
+        object.__setattr__(self, "degree_centrality", centrality)
+        object.__setattr__(self, "largest_clique", largest_clique(self))
 
     @property
     def single_node(self) -> bool:
         return len(self.nodes) == 1
 
     def node_by_midi(self, midi: int) -> PitchBin:
-        return self._ranked[self._rank[midi]]
-
-    @cached_property
-    def _ranked(self) -> tuple:
-        return tuple(sorted(self.nodes, key=lambda b: b.midi_lower))
-
-    @cached_property
-    def _rank(self) -> dict:
-        return {b.midi_lower: i for i, b in enumerate(self._ranked)}
-
-    @cached_property
-    def _masks(self) -> tuple:
-        rank = self._rank
-        pairs = np.array([(rank[a], rank[b]) for a, b in self.edges], dtype=np.intp).reshape(-1, 2)
-        return tuple(_adjacency_masks(len(self.nodes), pairs[:, 0], pairs[:, 1]))
+        return self.nodes[self._rank[midi]]
 
     def adjacency(self) -> dict:
         adj = {b.midi_lower: set() for b in self.nodes}
@@ -142,13 +151,6 @@ class SoundNetwork:
             adj[a].add(b)
             adj[b].add(a)
         return adj
-
-
-def _adjacency_masks(n: int, i: np.ndarray, j: np.ndarray) -> list:
-    """One int bitmask per node from the index pairs (i[k], j[k]) of its edges."""
-    adj = np.zeros((n, n), dtype=bool)
-    adj[i, j] = adj[j, i] = True
-    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(adj, axis=1, bitorder="little")]
 
 
 def build_network(seq, grid: PitchGrid | None = None) -> SoundNetwork:
@@ -174,28 +176,15 @@ def build_network(seq, grid: PitchGrid | None = None) -> SoundNetwork:
     if midis.size == 0:
         raise EmptyNetwork("no in-range frequency components")
 
-    node_midis = np.unique(midis)
-    nodes = tuple(grid_bin(int(m), grid) for m in node_midis)
-    n = len(nodes)
-
     # each undirected edge encoded once as lo * MIDI_HIGH + hi, lo < hi
     a, b = midis[:-1], midis[1:]
     keep = a != b
     codes = np.unique(np.minimum(a[keep], b[keep]) * MIDI_HIGH + np.maximum(a[keep], b[keep]))
     lo, hi = np.divmod(codes, MIDI_HIGH)
-    edges = frozenset(zip(lo.tolist(), hi.tolist()))
-    masks = _adjacency_masks(n, np.searchsorted(node_midis, lo), np.searchsorted(node_midis, hi))
-
-    centrality = {}
-    if n >= 2:
-        centrality = {b.midi_lower: mask.bit_count() / (n - 1) for b, mask in zip(nodes, masks)}
-
     return SoundNetwork(
         grid=grid,
-        nodes=nodes,
-        edges=edges,
-        degree_centrality=centrality,
-        largest_clique=_verified_clique(nodes, edges, masks),
+        nodes=tuple(grid_bin(int(m), grid) for m in np.unique(midis)),
+        edges=frozenset(zip(lo.tolist(), hi.tolist())),
         dropped_components=dropped,
     )
 
@@ -216,16 +205,11 @@ def largest_clique(net: SoundNetwork) -> tuple:
     Among maximum cliques of equal size the lexicographically smallest sorted
     MIDI tuple wins. The result is re-verified as a clique before returning.
     """
-    return _verified_clique(net._ranked, net.edges, net._masks)
-
-
-def _verified_clique(ranked: tuple, edges: frozenset, masks) -> tuple:
-    """The bins of _max_clique(masks), checked pair by pair against the edge set."""
-    members = _max_clique(masks)
-    clique = tuple(b for i, b in enumerate(ranked) if members >> i & 1)
+    members = _max_clique(net._masks)
+    clique = tuple(b for i, b in enumerate(net.nodes) if members >> i & 1)
     for i, a in enumerate(clique):
         for b in clique[i + 1 :]:
-            if (a.midi_lower, b.midi_lower) not in edges:
+            if (a.midi_lower, b.midi_lower) not in net.edges:
                 raise RuntimeError("internal error: clique verification failed")
     return clique
 
@@ -290,7 +274,7 @@ OCTAVE_BUCKETS = (
 )
 
 
-def clique_octave_histogram(clique, grid: PitchGrid | None = None) -> dict:
+def clique_octave_histogram(clique) -> dict:
     """Count clique members per A-to-A octave range of their lower note."""
     counts = {bucket: 0 for bucket in OCTAVE_BUCKETS}
     for node in clique:
@@ -307,7 +291,6 @@ def clique_octave_histogram(clique, grid: PitchGrid | None = None) -> dict:
 def network_to_dict(net: SoundNetwork) -> dict:
     """JSON-ready view: nodes with note names and Hz bounds, index edges,
     centrality keyed by lower-note name, clique member names."""
-    order = {b.midi_lower: i for i, b in enumerate(net.nodes)}
     return {
         "a4_hz": net.grid.a4_hz,
         "nodes": [
@@ -318,7 +301,7 @@ def network_to_dict(net: SoundNetwork) -> dict:
             }
             for b in net.nodes
         ],
-        "edges": sorted([order[a], order[b]] for a, b in net.edges),
+        "edges": sorted([net._rank[a], net._rank[b]] for a, b in net.edges),
         "degree_centrality": {
             net.node_by_midi(m).lower_note: v for m, v in sorted(net.degree_centrality.items())
         },

@@ -53,6 +53,10 @@ class SpiralLayout:
         return (r * np.cos(self.c * i), r * np.sin(self.c * i))
 
 
+_LAYOUT = SpiralLayout()
+_FIT_BINS = 60  # histogram bars in the fit figure
+
+
 def _esc(text) -> str:
     return (
         str(text)
@@ -78,7 +82,7 @@ def _document(width, height, body: list) -> bytes:
 
 # --- figure: histogram + fitted PDF / ECDF + fitted CDF -----------------------
 
-def render_fit_svg(samples, fit_report: FitReport, bins: int = 60) -> bytes:
+def render_fit_svg(samples, fit_report: FitReport) -> bytes:
     """Two panels: density histogram with the winning family's PDF, and the
     ECDF with the fitted CDF. Exactly two <path> elements (the two curves)."""
     x = np.sort(np.asarray(samples, dtype=np.float64))
@@ -98,8 +102,8 @@ def render_fit_svg(samples, fit_report: FitReport, bins: int = 60) -> bytes:
 
     lo, hi = float(x[0]), float(x[-1])
     span = hi - lo or 1.0
-    counts, edges = np.histogram(x, bins=bins, range=(lo, lo + span))
-    density = counts / (x.size * (span / bins))
+    counts, edges = np.histogram(x, bins=_FIT_BINS, range=(lo, lo + span))
+    density = counts / (x.size * (span / _FIT_BINS))
     grid = np.linspace(lo, lo + span, 256)
     pdf = dist.pdf(grid)
     pdf = np.where(np.isfinite(pdf), pdf, 0.0)
@@ -115,8 +119,8 @@ def render_fit_svg(samples, fit_report: FitReport, bins: int = 60) -> bytes:
         if d <= 0:
             continue
         body.append(
-            f'<rect class="hist" data-area="{float(d * (span / bins))!r}" x="{_f(hx(edges[i]))}" y="{_f(hy(d))}" '
-            f'width="{_f(panel_w / bins)}" height="{_f(panel_h * d / y_max)}" '
+            f'<rect class="hist" data-area="{float(d * (span / _FIT_BINS))!r}" x="{_f(hx(edges[i]))}" y="{_f(hy(d))}" '
+            f'width="{_f(panel_w / _FIT_BINS)}" height="{_f(panel_h * d / y_max)}" '
             f'fill="#9ecae1" stroke="none"/>'
         )
     body.append(_path(grid, pdf, hx, hy, "#d62728"))
@@ -160,18 +164,17 @@ def _panel_frame(left, top, w, h, x_label, y_label) -> list:
 
 # --- figure: spiral network ----------------------------------------------------
 
-def render_network_svg(net: SoundNetwork, clique_only: bool = False, layout: SpiralLayout | None = None) -> bytes:
+def render_network_svg(net: SoundNetwork, clique_only: bool = False) -> bytes:
     """Spiral network drawing; with clique_only, only the largest clique's
     nodes and their mutual edges appear. Node color follows the pitch class
     of the bin's lower note."""
-    layout = layout or SpiralLayout()
     if clique_only:
         drawn = list(net.largest_clique)
     else:
         drawn = list(net.nodes)
     cent = net.degree_centrality
     drawn.sort(key=lambda b: (-cent.get(b.midi_lower, 0.0), b.midi_lower))
-    pos = {b.midi_lower: layout.position(i) for i, b in enumerate(drawn)}
+    pos = {b.midi_lower: _LAYOUT.position(i) for i, b in enumerate(drawn)}
 
     node_r = 10.0
     margin = 60.0

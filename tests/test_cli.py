@@ -187,6 +187,18 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert report["config"]["a4_hz"] == 440.0      # flag wins
 
 
+@pytest.mark.parametrize("command", ["analyze", "corpus"])
+def test_seed_is_not_a_config_key_or_flag(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 0}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path), "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unknown config keys: ['seed']" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([command, str(tmp_path), "--seed", "1"])
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     wav = write_melody(tmp_path / "m.wav", seed=61)
     target = tmp_path / "envout"

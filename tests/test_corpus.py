@@ -30,11 +30,9 @@ def manual_network(midis, edges):
         degree[b] += 1
     n = len(midis)
     cent = {m: degree[m] / (n - 1) for m in midis} if n > 1 else {}
-    net = SoundNetwork(grid=GRID, nodes=nodes, edges=edge_set, degree_centrality=cent)
-    from soundnet.network import largest_clique
-    from dataclasses import replace
-
-    return replace(net, largest_clique=largest_clique(net))
+    net = SoundNetwork(grid=GRID, nodes=nodes, edges=edge_set)
+    assert net.degree_centrality == cent  # the hand count stays an independent check
+    return net
 
 
 # --- spearman ----------------------------------------------------------------------

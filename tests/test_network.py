@@ -267,3 +267,40 @@ def test_network_to_dict_round_trip_fields():
     for i, j in payload["edges"]:
         assert 0 <= i < len(net.nodes)
         assert 0 <= j < len(net.nodes)
+
+
+# --- direct construction -------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(5))
+def test_direct_network_equals_built_network(seed):
+    rng = np.random.default_rng(seed)
+    walk = rng.choice(np.arange(40, 70), size=200)
+    # the geometric middle of each bin, well clear of both bounds
+    built = net_from(GRID.note_freq(walk) * 2.0 ** (1.0 / 24.0))
+    edges = frozenset((min(a, b), max(a, b)) for a, b in zip(walk[:-1].tolist(), walk[1:].tolist()) if a != b)
+    midis = rng.permutation(np.unique(walk)).tolist()
+    direct = network.SoundNetwork(grid=GRID, nodes=tuple(grid_bin(m) for m in midis), edges=edges)
+    assert [b.midi_lower for b in direct.nodes] == sorted(midis)
+    assert direct.nodes == built.nodes
+    assert direct.degree_centrality == built.degree_centrality
+    assert len(direct.degree_centrality) == len(midis)
+    assert direct.largest_clique == built.largest_clique == largest_clique(direct)
+    assert network.network_to_dict(direct) == network.network_to_dict(built)
+    assert direct == built
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [(60, 99), (99, 60), (13, 60), (64, 60), (60, 60)],
+    ids=["hi-not-a-node", "lo-not-a-node", "below-the-nodes", "lo-above-hi", "self-loop"],
+)
+def test_direct_network_rejects_bad_edge(edge):
+    nodes = tuple(grid_bin(m) for m in (64, 60, 67))
+    with pytest.raises(ValueError):
+        network.SoundNetwork(grid=GRID, nodes=nodes, edges=frozenset({(60, 64), edge}))
+
+
+def test_direct_network_rejects_duplicate_node():
+    nodes = tuple(grid_bin(m) for m in (60, 60, 61))
+    with pytest.raises(ValueError):
+        network.SoundNetwork(grid=GRID, nodes=nodes, edges=frozenset({(60, 61)}))
