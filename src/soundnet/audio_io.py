@@ -49,15 +49,20 @@ def decode_wav(path) -> AudioBuffer:
     """
     data = Path(path).read_bytes()
     fmt, raw = _parse_riff(data)
-    samples = _decode_payload(raw, fmt)
-    if samples.size == 0:
+    if len(raw) % (fmt.bits // 8 * fmt.channels) != 0:
+        raise CorruptHeader("data chunk size is not a whole number of frames")
+    if not raw:
         raise EmptyAudio(f"{path}: data chunk holds zero frames")
-    bad = samples.size - np.count_nonzero(np.isfinite(samples))
-    if bad:
-        raise NonFiniteSamples(f"{path}: {bad} non-finite (NaN or infinite) samples")
-    if fmt.channels > 1:
-        samples = samples.reshape(-1, fmt.channels).mean(axis=1)
-    samples = np.clip(samples, -1.0, 1.0)
+    if fmt.format_code == _FORMAT_IEEE_FLOAT:
+        samples = np.frombuffer(raw, dtype="<f4" if fmt.bits == 32 else "<f8").astype(np.float64)
+        bad = samples.size - np.count_nonzero(np.isfinite(samples))
+        if bad:
+            raise NonFiniteSamples(f"{path}: {bad} non-finite (NaN or infinite) samples")
+        if fmt.channels > 1:
+            samples = samples.reshape(-1, fmt.channels).mean(axis=1)
+        samples = np.clip(samples, -1.0, 1.0)
+    else:
+        samples = _decode_pcm(raw, fmt)
     return AudioBuffer(samples=samples, sample_rate_hz=fmt.sample_rate, source_path=str(path))
 
 
@@ -143,29 +148,24 @@ def _parse_fmt(body: bytes) -> _FmtChunk:
     return _FmtChunk(format_code=code, channels=channels, sample_rate=rate, bits=bits)
 
 
-def _decode_payload(raw: bytes, fmt: _FmtChunk) -> np.ndarray:
-    width = fmt.bits // 8
-    frame = width * fmt.channels
-    if len(raw) % frame != 0:
-        raise CorruptHeader("data chunk size is not a whole number of frames")
+def _decode_pcm(raw: bytes, fmt: _FmtChunk) -> np.ndarray:
+    """Integer PCM codes as mono float64 in [-1, 1).
 
-    if fmt.format_code == _FORMAT_IEEE_FLOAT:
-        dtype = "<f4" if fmt.bits == 32 else "<f8"
-        return np.frombuffer(raw, dtype=dtype).astype(np.float64)
-
-    if fmt.bits == 16:
-        codes = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    elif fmt.bits == 32:
-        codes = np.frombuffer(raw, dtype="<i4").astype(np.float64)
-    else:  # 24-bit: widen each 3-byte group to int32 then shift back
-        b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
-        as32 = (
-            b[:, 0].astype(np.uint32)
-            | (b[:, 1].astype(np.uint32) << 8)
-            | (b[:, 2].astype(np.uint32) << 16)
-        )
-        codes = (as32.astype(np.int32) << 8 >> 8).astype(np.float64)
-    return codes / float(2 ** (fmt.bits - 1))
+    The two codes of a stereo frame are summed in an integer type wide enough
+    for the sum and scaled once by 2^bits. Every step is exact, so the result
+    equals the mean of the separately scaled channels bit for bit.
+    """
+    if fmt.bits == 24:
+        # read each 3-byte code as the top three bytes of a little-endian int32
+        # (the low byte is the previous code's last byte, or the pad); the
+        # arithmetic shift drops it and sign-extends
+        padded = b"\0" + raw
+        codes = np.ndarray((len(raw) // 3,), dtype="<i4", buffer=padded, strides=(3,)) >> 8
+    else:
+        codes = np.frombuffer(raw, dtype="<i2" if fmt.bits == 16 else "<i4")
+    if fmt.channels == 2:
+        codes = codes[0::2].astype(np.int64 if fmt.bits == 32 else np.int32, copy=False) + codes[1::2]
+    return codes / float(2 ** (fmt.bits - 1) * fmt.channels)
 
 
 def _write_wav(path, payload: bytes, rate: int, format_code: int, bits: int) -> None:

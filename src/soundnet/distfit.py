@@ -3,7 +3,9 @@
 Every family is expressed in loc-scale form (z = (x - loc) / scale) so fitted
 parameters read as the usual (loc, scale) pair, with any shape parameters in
 front. Closed-form estimators are used wherever the likelihood admits them;
-the Gibrat and exponentiated-Weibull fits run a simplex direct search.
+the Gibrat and exponentiated-Weibull fits run a simplex direct search over
+the parameters left once the one with a closed-form conditional MLE (the
+Gibrat scale, the exponentiated-Weibull shape a) is profiled out.
 
 Gibrat here means a lognormal with the shape pinned at 1, i.e. density
 exp(-(log z)^2 / 2) / (z * sqrt(2*pi)) on z > 0.
@@ -276,25 +278,30 @@ def _fit_powerlaw(x):
 
 
 def _fit_gibrat(x):
+    # for a fixed loc the scale's MLE is the geometric mean of x - loc, so the
+    # simplex searches loc < min(x) alone
     n = x.size
     lo, hi = float(x.min()), float(x.max())
-    loc0 = lo - 0.1 * (hi - lo)
-    scale0 = float(np.exp(np.mean(np.log(x - loc0))))
 
-    def nll(params):
-        loc, scale = params
-        if scale <= 0.0 or lo <= loc:
-            return np.inf
-        lz = np.log((x - loc) / scale)
-        value = n * math.log(scale) + np.sum(lz + 0.5 * lz * lz) + n * 0.5 * math.log(2.0 * math.pi)
-        return value if np.isfinite(value) else np.inf
+    def profile(params):
+        """(negative log-likelihood, scale) at loc = params[0] with the scale at its MLE."""
+        (loc,) = params
+        if lo <= loc:
+            return np.inf, np.nan
+        lxl = np.log(x - loc)
+        log_scale = float(np.mean(lxl))
+        lz = lxl - log_scale
+        value = n * log_scale + np.sum(lz + 0.5 * lz * lz) + n * 0.5 * math.log(2.0 * math.pi)
+        return (value if np.isfinite(value) else np.inf), math.exp(log_scale)
 
-    result = nelder_mead(nll, np.array([loc0, scale0]))
-    loc, scale = result.x
-    return FittedDistribution(DistFamily.GIBRAT, (), float(loc), float(scale)), result.converged
+    result = nelder_mead(lambda params: profile(params)[0], np.array([lo - 0.1 * (hi - lo)]))
+    (loc,) = result.x
+    return FittedDistribution(DistFamily.GIBRAT, (), float(loc), profile(result.x)[1]), result.converged
 
 
 def _fit_expweib(x):
+    # for a fixed (c, scale) the MLE of the shape a is -n / sum(log(1 - exp(-z^c))),
+    # so the simplex searches (log c, log scale) alone
     _require_positive(x, DistFamily.EXPONENTIATED_WEIBULL)
     n = x.size
     mean, std = float(x.mean()), float(x.std())
@@ -303,25 +310,28 @@ def _fit_expweib(x):
     scale0 = mean / math.gamma(1.0 + 1.0 / c0)
 
     lx = np.log(x)
+    sum_lx = float(np.sum(lx))
 
-    def nll(params):
-        a, c, scale = params
-        if a <= 0.0 or c <= 0.0 or scale <= 0.0:
-            return np.inf
-        lz = lx - math.log(scale)
+    def profile(params):
+        """(negative log-likelihood, a) at (c, scale) = exp(params) with a at its MLE."""
+        c, log_scale = math.exp(params[0]), float(params[1])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            t = np.exp(c * lz)
-            log_u = np.log(-np.expm1(-t))
+            t = np.exp(c * (lx - log_scale))
+            sum_log_u = float(np.sum(np.log(-np.expm1(-t))))
+            if not -np.inf < sum_log_u < 0.0:
+                return np.inf, np.nan
+            a = -n / sum_log_u
             ll = (
-                n * (math.log(a) + math.log(c) - math.log(scale))
-                + (a - 1.0) * np.sum(log_u)
+                n * (math.log(a) + math.log(c) - log_scale)
+                + (a - 1.0) * sum_log_u
                 - np.sum(t)
-                + (c - 1.0) * np.sum(lz)
+                + (c - 1.0) * (sum_lx - n * log_scale)
             )
-        return -ll if np.isfinite(ll) else np.inf
+        return (-ll if np.isfinite(ll) else np.inf), a
 
-    result = nelder_mead(nll, np.array([1.0, c0, scale0]))
-    a, c, scale = result.x
+    result = nelder_mead(lambda params: profile(params)[0], np.array([math.log(c0), math.log(scale0)]))
+    c, scale = np.exp(result.x)
+    a = profile(result.x)[1]
     return (
         FittedDistribution(DistFamily.EXPONENTIATED_WEIBULL, (float(a), float(c)), 0.0, float(scale)),
         result.converged,
@@ -378,9 +388,10 @@ def ks_test(fit: FittedDistribution, samples) -> KsResult:
     return KsResult(statistic_d=d, p_value=_kolmogorov_q(lam), n=n)
 
 
-# Below this lambda the alternating series has not reached its 1e-12 stopping
-# term within its 100 terms (that needs 2 * 100^2 * lambda^2 >= ln(2e12)).
-_KS_SERIES_MIN_LAMBDA = 0.04
+# The switch point of Numerical Recipes' KSdist: below it the four-term theta
+# form is exact to rounding, while the alternating series, stopped at its first
+# term under 1e-12, can leave an error of that order.
+_KS_SERIES_MIN_LAMBDA = 1.18
 
 
 def _kolmogorov_q(lam: float) -> float:

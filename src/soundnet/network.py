@@ -62,12 +62,14 @@ class PitchBin:
 def grid_bin(midi: int, grid: PitchGrid | None = None) -> PitchBin:
     """The pitch bin whose lower note is the given MIDI number."""
     grid = grid or PitchGrid()
+    # PitchGrid.note_freq's expression in Python floats: numpy scalar arithmetic
+    # costs microseconds per call, and the result is the same double
     return PitchBin(
         midi_lower=midi,
         lower_note=note_name(midi),
         upper_note=note_name(midi + 1),
-        lower_hz=float(grid.note_freq(midi)),
-        upper_hz=float(grid.note_freq(midi + 1)),
+        lower_hz=grid.a4_hz * 2.0 ** ((midi - 69) / 12.0),
+        upper_hz=grid.a4_hz * 2.0 ** ((midi + 1 - 69) / 12.0),
     )
 
 

@@ -2,10 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import float32_payload, pcm16_payload, pcm24_payload, wav_bytes
 from soundnet import audio_io
-from soundnet.errors import CorruptHeader, EmptyAudio, NonFiniteSamples, UnsupportedFormat
+from soundnet.errors import CorruptHeader, EmptyAudio, NonFiniteSamples, SoundnetError, UnsupportedFormat
 
 
 def write(tmp_path, data, name="x.wav"):
@@ -206,3 +208,106 @@ def test_truncated_canonical_header_still_corrupt(tmp_path):
     riff_only = _streaming_sizes(canonical, riff=True, data=False)[:-20]
     with pytest.raises(CorruptHeader):
         audio_io.decode_wav(write(tmp_path, riff_only, "cut_riff.wav"))
+
+
+# --- property tests: random codes and mutated headers ------------------------------
+
+# (format code, bits) -> struct letter of one sample
+_LAYOUTS = {(1, 16): "h", (1, 24): None, (1, 32): "i", (3, 32): "f", (3, 64): "d"}
+
+
+def _payload(values, format_code, bits):
+    if bits == 24:
+        return pcm24_payload(values)
+    return struct.pack(f"<{len(values)}{_LAYOUTS[format_code, bits]}", *values)
+
+
+def _reference_decode(payload, channels, format_code, bits):
+    """Plain per-sample decode: each code to float64 (integers over 2^(bits-1)),
+    the mean of each frame's channels, then a clip to [-1, 1]."""
+    width = bits // 8
+    if format_code == 3:
+        letter = "f" if bits == 32 else "d"
+        values = [struct.unpack_from(f"<{letter}", payload, i)[0] for i in range(0, len(payload), width)]
+        samples = np.asarray(values, dtype=np.float64)
+    else:
+        codes = [int.from_bytes(payload[i : i + width], "little", signed=True) for i in range(0, len(payload), width)]
+        samples = np.asarray(codes, dtype=np.float64) / float(2 ** (bits - 1))
+    if channels > 1:
+        samples = samples.reshape(-1, channels).mean(axis=1)
+    return np.clip(samples, -1.0, 1.0)
+
+
+@st.composite
+def _wav_case(draw):
+    format_code, bits = draw(st.sampled_from(sorted(_LAYOUTS)))
+    channels = draw(st.sampled_from([1, 2]))
+    if format_code == 1:
+        lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+        values = [lo, hi, hi, lo] + draw(st.lists(st.integers(lo, hi), max_size=64))
+    else:
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=bits), min_size=1, max_size=64))
+    values = values[: len(values) // channels * channels] or values[:1] * channels
+    return _payload(values, format_code, bits), channels, format_code, bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_wav_case())
+def test_decode_matches_plain_reference_bit_for_bit(tmp_path_factory, case):
+    payload, channels, format_code, bits = case
+    path = tmp_path_factory.getbasetemp() / "codes.wav"
+    path.write_bytes(wav_bytes(payload, channels=channels, bits=bits, format_code=format_code))
+    # two float64 codes near the largest double overflow their channel mean to
+    # +-inf, which the clip maps to +-1 just as it would the true mean
+    with np.errstate(over="ignore"):
+        got = audio_io.decode_wav(path).samples
+        want = _reference_decode(payload, channels, format_code, bits)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+_VALID = {
+    "pcm16": wav_bytes(pcm16_payload(list(range(-40, 40))), channels=2),
+    "pcm24": wav_bytes(pcm24_payload(list(range(-60, 60))), bits=24),
+    "float32": wav_bytes(float32_payload([0.5, -0.25] * 30), channels=2, bits=32, format_code=3),
+}
+
+# (offset, width) of every field of the canonical 44-byte header
+_FIELDS = [(0, 4), (4, 4), (8, 4), (12, 4), (16, 4), (20, 2), (22, 2), (24, 4), (28, 4), (32, 2), (34, 2), (36, 4), (40, 4)]
+
+
+def _check_decode_outcome(path, data):
+    """A decode ends in a valid buffer or a SoundnetError, never another exception."""
+    path.write_bytes(bytes(data))
+    try:
+        buf = audio_io.decode_wav(path)
+    except SoundnetError:
+        return
+    assert buf.samples.dtype == np.float64
+    assert len(buf) > 0
+    assert np.all(np.abs(buf.samples) <= 1.0)
+
+
+def test_header_field_extremes_raise_only_soundnet_errors(tmp_path):
+    for name, valid in _VALID.items():
+        for at, width in _FIELDS:
+            for value in (0, 1, 2 ** (8 * width) - 1):
+                data = bytearray(valid)
+                data[at : at + width] = value.to_bytes(width, "little")
+                _check_decode_outcome(tmp_path / f"{name}.wav", data)
+
+
+# an edit overwrites one header field with any value, or one byte anywhere in the header
+_EDIT = st.one_of(
+    st.tuples(st.sampled_from(_FIELDS), st.integers(0, 2**32 - 1)),
+    st.tuples(st.tuples(st.integers(0, 43), st.just(1)), st.integers(0, 255)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(_VALID)), edits=st.lists(_EDIT, min_size=1, max_size=6))
+def test_mutated_header_raises_only_soundnet_errors(tmp_path_factory, name, edits):
+    data = bytearray(_VALID[name])
+    for (at, width), value in edits:
+        data[at : at + width] = (value % 2 ** (8 * width)).to_bytes(width, "little")
+    _check_decode_outcome(tmp_path_factory.getbasetemp() / "mutated.wav", data)

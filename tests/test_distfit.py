@@ -134,6 +134,12 @@ def test_ks_p_value_small_lambda_against_scipy():
     assert distfit._kolmogorov_q(0.01) == 1.0
 
 
+def test_ks_p_value_exact_against_scipy():
+    # below 1.18 the four-term theta form, above it the alternating series: both exact to rounding
+    for lam in np.linspace(0.001, 3.0, 3000):
+        assert abs(distfit._kolmogorov_q(float(lam)) - stats.kstwobign.sf(lam)) < 1e-14, lam
+
+
 def test_ks_self_fit_p_value(rng):
     draws = rng.exponential(scale=50.0, size=10_000)
     fit = distfit.fit_mle(DistFamily.EXPONENTIAL, draws)
@@ -225,6 +231,32 @@ def test_fit_is_local_likelihood_optimum(rng):
                 continue
             probed = FittedDistribution(family, shapes, loc, scale)
             assert probed.loglike(x) <= base + 1e-6, family
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_profiled_expweib_beats_scipy_fit(seed):
+    x = stats.exponweib.rvs(2.5, 1.3, scale=40.0, size=2_000, random_state=np.random.default_rng(seed))
+    fit = distfit.fit_mle(DistFamily.EXPONENTIATED_WEIBULL, x)
+    a, c = fit.shape_params
+    ours = float(np.sum(stats.exponweib.logpdf(x, a, c, 0.0, fit.scale)))
+    ra, rc, _, rscale = stats.exponweib.fit(x, floc=0)
+    ref = float(np.sum(stats.exponweib.logpdf(x, ra, rc, 0.0, rscale)))
+    assert ours >= ref - 1e-9 * abs(ref)
+    # the shape a is the closed-form MLE at the reported (c, scale)
+    closed = -x.size / np.sum(np.log(-np.expm1(-((x / fit.scale) ** c))))
+    assert abs(a - closed) <= 1e-12 * closed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_profiled_gibrat_beats_scipy_fit(seed):
+    x = np.random.default_rng(seed).lognormal(size=2_000) * 30.0 + 12.0
+    fit = distfit.fit_mle(DistFamily.GIBRAT, x)
+    ours = float(np.sum(stats.lognorm.logpdf(x, 1.0, fit.loc, fit.scale)))
+    _, rloc, rscale = stats.lognorm.fit(x, f0=1)
+    ref = float(np.sum(stats.lognorm.logpdf(x, 1.0, rloc, rscale)))
+    assert ours >= ref - 1e-9 * abs(ref)
+    # the scale is the closed-form MLE at the reported loc
+    assert abs(fit.scale - np.exp(np.mean(np.log(x - fit.loc)))) <= 1e-12 * fit.scale
 
 
 # --- best_fit -------------------------------------------------------------------

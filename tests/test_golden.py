@@ -54,39 +54,39 @@ def _digests(directory):
 
 GOLDEN_CORPUS_STFT = {
     "a_pcm16.fit.svg": "e0b6e2cbaa33a984e9bf2c1045bd6cd26272b849fcc3ac139e4bdb5988923937",
-    "a_pcm16.json": "8cd76941ffcaf0036e6d521e4c319569eec33a9ff73923568c0b728a820e6111",
+    "a_pcm16.json": "dbb86280d1a7bf298a525021603e0f12d0a65e013fe70e6cd8cbdcc363f4dd7f",
     "a_pcm16.network.svg": "84f16b750c855ca246197731e5a2e95f1f8938d451a757ff67132fc9ca6711a5",
     "b_pcm24_stereo.fit.svg": "24b2ddcf9a99c19023a588446e81b4b03fe6e08fa2d7903f0bd327645ffa370a",
-    "b_pcm24_stereo.json": "510a0067035ef2173db61196c663c57923ae2504bb839ec064a2c431fa20b869",
+    "b_pcm24_stereo.json": "9258d9835d07d5065b43edb650cb7748e07fc468e891c196e9c4dd787b6cfc50",
     "b_pcm24_stereo.network.svg": "bd7867780c338ab3db3d61c785e1217eb5592cc37de5d9102313810adc3c2bbb",
     "c_float32.fit.svg": "039cb03960705348ba4312fa7f164d99f0e2179fd0579f63c9ef7a09c74a1a32",
-    "c_float32.json": "016c1a307f72261a007cc43e80ef2987efdd07f3b2394d8336c91f419e80ee06",
+    "c_float32.json": "528833ebebc40ea3322fac0a7abe98e05821aeeded1e550ec24f88ae97605756",
     "c_float32.network.svg": "b04d42fcba7bd8fa6fc431fe08954faf69e32aaade231844ea3337eb90170092",
     "corpus.cliques.svg": "5f5a1565eed7d52812c30b176f09f4551358bd65de2a452fbb0d57d7f5767710",
     "corpus.heatmap.svg": "8cb82065c42a636b2cf16d6b6f45c7cf052f851333454ce9dc4efd28f179220b",
-    "corpus.json": "76ad5544fdb00e44090974dd01f7a94576bf208cb8168fb4bdc07621561bd945",
+    "corpus.json": "980ac50997feac7677d9bcd56b061c57fd713d8bd6c82809bd86b7b4e13a1220",
     "corpus.matrix.csv": "991c18df2518cd67a6021c8eed5e1973f1723460a25f67b436df9bacd6dc40e7",
-    "corpus.summary.csv": "aca551989b05dc3fc14ded59dd64b1fda873746709899cb0443c838af0ac6b1b",
+    "corpus.summary.csv": "dea6ef7551f171743bd988433da6c5e70cfbc73609e3d1bab4f9d987546600a0",
 }
 GOLDEN_CORPUS_FULL = {
     "a_pcm16.fit.svg": "bc3bd486242a589c5ba5f5f0df46dd58aefb90e14b1324ea0d4863b33509bcda",
-    "a_pcm16.json": "676fde256e3f00e966662c32ef931ea6acff09af9c3799f664276772a80c68d9",
+    "a_pcm16.json": "feef1866d4f4aeff3edd94193916b88580dc9f3508c922590fd93d518ac373c4",
     "a_pcm16.network.svg": "e6820fa9dfbe997873cc05a3c19db626f97b48123729f6d9ea0cb3aa73e2dced",
     "b_pcm24_stereo.fit.svg": "032a086b31a4af8fa5d025f77059722ca1135579db34a1e63953595c5e63ae01",
-    "b_pcm24_stereo.json": "222d6ab5342ed9743e07f2f97f83fac57b9d4a3e39933bfba0286240004ba481",
+    "b_pcm24_stereo.json": "cf5455faedbb712570ac6881becb70f488eec0bf970cd51e19d69ec82f595b8b",
     "b_pcm24_stereo.network.svg": "c31c3a4414d45ba9784da7766d61079751ead44b61314baa4c2f0cca2e54cda5",
     "c_float32.fit.svg": "3de5c9f1c85495154205d7e3424f6888b6072e2e8fba3ebf57fcbf812186b550",
-    "c_float32.json": "1efc0ea5a5b6679f4676851fdbea7b253d400487b55b39d4f8caec844ee392ca",
+    "c_float32.json": "bec9b16f65da1343b70ef7e5828ed6d0cef67a6c1c77c9d7f129da6832125173",
     "c_float32.network.svg": "f4566ea88d2b6c38f2de90a65f07c2e4c8c0eb88bb675c6c3aac1b7dc2b667e3",
     "corpus.cliques.svg": "184794f4fc6257b3c7a94c127a7d5fa068792334eb975fe836578f3ac3469748",
     "corpus.heatmap.svg": "8676ba93b9e76945e08f179131cf5d8fbef0f4b022401d0f19ffb6a7badc2e3e",
-    "corpus.json": "93efc92b0dc89c20ef168ed82829d53a4c9e0c548c69477849a8da71db33bca1",
+    "corpus.json": "174db30f623971dcc0e060f1faa823588d7f789086c126491801dc85367fa206",
     "corpus.matrix.csv": "5f0414df6f40814ba150bbb679ca0f4ffe708f3465385fb5887bd1213e4e1426",
-    "corpus.summary.csv": "8858c4df25a74ee19a1b9c0fe0cd1c47a67962703fa119a7eb20175c4fb22f8d",
+    "corpus.summary.csv": "9caff8d16bfc53903e790f07c13b7efe09c0780c4c26dfc90c71b35d0e03b775",
 }
 GOLDEN_ANALYZE = {
     "b_pcm24_stereo.fit.svg": "24b2ddcf9a99c19023a588446e81b4b03fe6e08fa2d7903f0bd327645ffa370a",
-    "b_pcm24_stereo.json": "ae84bf70ed8241270deb619b572d8f4b083f07cc19cf2303747da1fc998ac46e",
+    "b_pcm24_stereo.json": "3222ef6d3c16c86263c7a4ebdb3e39d36d2b3119234f86463f0b5b2d3c5586fc",
     "b_pcm24_stereo.network.svg": "bd7867780c338ab3db3d61c785e1217eb5592cc37de5d9102313810adc3c2bbb",
 }
 

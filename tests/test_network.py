@@ -55,6 +55,17 @@ def test_note_freq_anchor_exact():
     assert GRID.note_freq(69) == 440.0
 
 
+@pytest.mark.parametrize("a4_hz", [415.0, 440.0, 442.5, 466.16])
+def test_grid_bin_hz_bit_identical_to_note_freq(a4_hz):
+    grid = PitchGrid(a4_hz)
+    for midi in range(network.MIDI_LOW, network.MIDI_HIGH):
+        b = grid_bin(midi, grid)
+        for got, m in ((b.lower_hz, midi), (b.upper_hz, midi + 1)):
+            want = grid.a4_hz * 2.0 ** ((np.asarray(m) - 69) / 12.0)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes(), (a4_hz, m)
+
+
 def test_bin_partition_covers_grid(rng):
     freqs = np.exp(rng.uniform(np.log(GRID.low_hz), np.log(GRID.high_hz * 0.999), size=2_000))
     for f in freqs:
