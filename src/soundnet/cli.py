@@ -16,8 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import distfit, network, selftest, spectral, svg_report
 from .audio_io import decode_wav
@@ -67,18 +65,8 @@ class RunConfig:
         self.grid()
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _dump_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=1, default=_json_default)
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=1)
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -163,6 +151,22 @@ def _piece_ids(paths) -> dict:
     return ids
 
 
+def _corpus_piece(path, piece: str, config: RunConfig, out_dir: Path):
+    """Analyze one corpus piece and write its artifacts.
+
+    Returns (fit_report, net), or the reason the piece is skipped: an analysis
+    error, or a degenerate fit (no artifacts are written for it).
+    """
+    try:
+        report, fit_report, net, seq = analyze_file(path, config)
+    except (SoundnetError, OSError) as exc:
+        return str(exc)
+    if fit_report is None:
+        return report["fit"]["error"]
+    _write_piece_artifacts(out_dir, piece, report, fit_report, net, seq)
+    return fit_report, net
+
+
 def cmd_corpus(directory: str, config: RunConfig, jobs: int | None = None) -> int:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,32 +175,18 @@ def cmd_corpus(directory: str, config: RunConfig, jobs: int | None = None) -> in
         print(f"error: no .wav files in {directory}", file=sys.stderr)
         return 4
     ids = _piece_ids(paths)
-    workers = jobs or os.cpu_count() or 1
-
-    outcomes = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {ids[path]: pool.submit(analyze_file, path, config) for path in paths}
-        for piece in sorted(futures):
-            try:
-                outcomes[piece] = ("ok", futures[piece].result())
-            except (SoundnetError, OSError) as exc:
-                outcomes[piece] = ("skip", str(exc))
 
     analyses = {}
     skipped = {}
-    for piece in sorted(outcomes):
-        status, payload = outcomes[piece]
-        if status == "skip":
-            skipped[piece] = payload
-            print(f"warning: skipping {piece}: {payload}", file=sys.stderr)
-            continue
-        report, fit_report, net, seq = payload
-        if fit_report is None:
-            skipped[piece] = report["fit"]["error"]
-            print(f"warning: skipping {piece}: {skipped[piece]}", file=sys.stderr)
-            continue
-        analyses[piece] = (fit_report, net)
-        _write_piece_artifacts(out_dir, piece, report, fit_report, net, seq)
+    with ThreadPoolExecutor(max_workers=jobs or os.cpu_count() or 1) as pool:
+        futures = {ids[path]: pool.submit(_corpus_piece, path, ids[path], config, out_dir) for path in paths}
+        for piece in sorted(futures):
+            outcome = futures[piece].result()
+            if isinstance(outcome, str):
+                skipped[piece] = outcome
+                print(f"warning: skipping {piece}: {outcome}", file=sys.stderr)
+            else:
+                analyses[piece] = outcome
 
     if not analyses:
         print("error: no file in the corpus could be analyzed", file=sys.stderr)
@@ -266,18 +256,12 @@ def _build_parser():
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
-def _apply_config_file(parser, subparser, argv: list) -> None:
-    if "--config" not in argv:
-        return
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        parser.error("--config expects a path")
-    cfg_path = argv[at + 1]
-    loaded = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
+def _load_config(parser, path: str) -> dict:
+    loaded = json.loads(Path(path).read_text(encoding="utf-8"))
     unknown = set(loaded) - set(_CONFIG_KEYS)
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")
-    subparser.set_defaults(**loaded)
+    return loaded
 
 
 def _config_from_args(args) -> RunConfig:
@@ -290,14 +274,13 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
-    if argv and argv[0] in subparsers:
-        _apply_config_file(parser, subparsers[argv[0]], argv)
     args = parser.parse_args(argv)
-
     if args.command == "selftest":
         return cmd_selftest(args.seed)
+    if args.config is not None:  # file values become defaults, so explicit flags still win
+        subparsers[args.command].set_defaults(**_load_config(parser, args.config))
+        args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
     except ValueError as exc:
