@@ -1,7 +1,9 @@
 """Command-line pipeline: analyze single files, sweep corpora, self-test.
 
-Exit codes are stable API: 0 success, 1 selftest failure, 2 decode failure,
-3 empty (or too short) frequency sequence, 4 no decodable file in a corpus.
+Exit codes are stable API: 0 success, 1 selftest failure, 2 usage error (a bad
+flag, setting or --config file) or decode failure, 3 empty (or too short)
+frequency sequence, 4 a corpus directory that cannot be listed or holds no
+analyzable file.
 All reports are pure functions of (input bytes, config): keys are sorted and
 nothing time- or host-dependent is written, so re-runs are byte-identical.
 """
@@ -31,6 +33,9 @@ from .errors import (
 
 ENV_OUT = "SOUNDNET_OUT"
 
+# RunConfig annotation -> accepted value types; a whole number is a valid float
+_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -57,6 +62,10 @@ class RunConfig:
         return network.PitchGrid(a4_hz=self.a4_hz)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.mode not in ("stft", "full"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.alignment not in (corpus_mod.ALIGN_UNION, corpus_mod.ALIGN_INTERSECTION):
@@ -168,18 +177,22 @@ def _corpus_piece(path, piece: str, config: RunConfig, out_dir: Path):
 
 
 def cmd_corpus(directory: str, config: RunConfig, jobs: int | None = None) -> int:
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".wav")
+    try:
+        paths = sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".wav")
+    except OSError as exc:
+        print(f"error: {directory}: {exc}", file=sys.stderr)
+        return 4
     if not paths:
         print(f"error: no .wav files in {directory}", file=sys.stderr)
         return 4
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ids = _piece_ids(paths)
 
     analyses = {}
     skipped = {}
     with ThreadPoolExecutor(max_workers=jobs or os.cpu_count() or 1) as pool:
-        futures = {ids[path]: pool.submit(_corpus_piece, path, ids[path], config, out_dir) for path in paths}
+        futures = {piece: pool.submit(_corpus_piece, path, piece, config, out_dir) for path, piece in ids.items()}
         for piece in sorted(futures):
             outcome = futures[piece].result()
             if isinstance(outcome, str):
@@ -223,6 +236,13 @@ def cmd_selftest(seed: int) -> int:
     return 1 if failures else 0
 
 
+def _pool_size(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="soundnet", description="Analyze WAV recordings as networks of pitch bins.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -246,7 +266,7 @@ def _build_parser():
     p_corpus = sub.add_parser("corpus", help="analyze every WAV in a directory")
     p_corpus.add_argument("dir")
     add_config_flags(p_corpus)
-    p_corpus.add_argument("--jobs", type=int, default=None, help="worker pool size (default: logical CPUs)")
+    p_corpus.add_argument("--jobs", type=_pool_size, default=None, help="worker pool size (default: logical CPUs)")
 
     p_selftest = sub.add_parser("selftest", help="run the built-in oracle checks")
     p_selftest.add_argument("--seed", type=int, default=42)
@@ -257,7 +277,12 @@ _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def _load_config(parser, path: str) -> dict:
-    loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or UTF-8
+        parser.error(f"--config {path}: {exc}")
+    if not isinstance(loaded, dict):
+        parser.error(f"--config {path}: expected a JSON object, got {type(loaded).__name__}")
     unknown = set(loaded) - set(_CONFIG_KEYS)
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")

@@ -9,6 +9,7 @@ dropped and repeated edges collapse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,8 @@ class PitchGrid:
     a4_hz: float = 440.0
 
     def __post_init__(self):
-        if self.a4_hz <= 0:
-            raise ValueError("a4_hz must be positive")
+        if not 0.0 < self.a4_hz < math.inf:  # also rejects NaN
+            raise ValueError("a4_hz must be positive and finite")
 
     def note_freq(self, midi) -> float:
         return self.a4_hz * 2.0 ** ((np.asarray(midi) - 69) / 12.0)

@@ -51,7 +51,7 @@ class PeakParams:
             raise ValueError("top_k must be >= 1")
         if not 0.0 < self.rel_threshold <= 1.0:
             raise ValueError("rel_threshold must be in (0, 1]")
-        if self.floor_db > 0.0:
+        if not self.floor_db <= 0.0:  # also rejects NaN; -inf means no floor
             raise ValueError("floor_db must be <= 0 dB")
 
 

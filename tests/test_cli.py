@@ -141,13 +141,21 @@ def test_corpus_mixed_good_bad(tmp_path, capsys):
     write_melody(corpus_dir / "good1.wav", seed=40)
     write_melody(corpus_dir / "good2.wav", seed=41)
     (corpus_dir / "broken.wav").write_bytes(b"garbage")
+    write_tone(corpus_dir / "tone.wav", rate=8000)  # decodes, but every component is identical
     out = tmp_path / "out"
     assert main(["corpus", str(corpus_dir), "--out", str(out), *MELODY_FLAGS]) == 0
     err = capsys.readouterr().err
-    assert "broken" in err
+    assert err.splitlines() == [
+        "warning: skipping broken: file shorter than a RIFF header",
+        "warning: skipping tone: all samples are identical",
+    ]
     corpus_json = json.loads((out / "corpus.json").read_text(encoding="utf-8"))
-    assert "broken" in corpus_json["skipped"]
+    assert corpus_json["skipped"] == {
+        "broken": "file shorter than a RIFF header",
+        "tone": "all samples are identical",
+    }
     assert corpus_json["pieces"] == ["good1", "good2"]
+    assert not [p.name for p in out.iterdir() if p.name.startswith(("broken.", "tone."))]
 
 
 def test_corpus_empty_exit_4(tmp_path, capsys):
@@ -158,6 +166,10 @@ def test_corpus_empty_exit_4(tmp_path, capsys):
     only_bad.mkdir()
     (only_bad / "x.wav").write_bytes(b"junk")
     assert main(["corpus", str(only_bad), "--out", str(tmp_path / "o")]) == 4
+    capsys.readouterr()
+    for not_a_dir in (tmp_path / "missing", only_bad / "x.wav"):
+        assert main(["corpus", str(not_a_dir), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.startswith(f"error: {not_a_dir}: ")
 
 
 def test_corpus_independent_of_pool_size(tmp_path):
@@ -168,12 +180,18 @@ def test_corpus_independent_of_pool_size(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["corpus", str(corpus_dir), "--out", str(out1), "--jobs", "1", *MELODY_FLAGS]) == 0
     assert main(["corpus", str(corpus_dir), "--out", str(out2), "--jobs", "3", *MELODY_FLAGS]) == 0
-    a = json.loads((out1 / "corpus.json").read_text(encoding="utf-8"))
-    b = json.loads((out2 / "corpus.json").read_text(encoding="utf-8"))
-    a["config"].pop("out")
-    b["config"].pop("out")
-    assert a == b
-    assert (out1 / "corpus.summary.csv").read_bytes() == (out2 / "corpus.summary.csv").read_bytes()
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert len(names) == 3 * 3 + 5  # per piece: JSON and two SVGs; corpus: JSON, two CSVs, two SVGs
+    for name in names:
+        if name.endswith(".json"):
+            a = json.loads((out1 / name).read_text(encoding="utf-8"))
+            b = json.loads((out2 / name).read_text(encoding="utf-8"))
+            a["config"].pop("out")
+            b["config"].pop("out")
+            assert a == b, name
+        else:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
@@ -185,6 +203,59 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     report = json.loads((out / "m.json").read_text(encoding="utf-8"))
     assert report["config"]["frame_size"] == 1024  # from config file
     assert report["config"]["a4_hz"] == 440.0      # flag wins
+    # argparse's other spellings of the same option read the same file
+    for spelling in (["--config=" + str(cfg)], ["--conf", str(cfg)]):
+        assert main(["analyze", str(wav), *spelling, "--out", str(out), "--a4", "440.0"]) == 0
+        assert json.loads((out / "m.json").read_text(encoding="utf-8")) == report
+
+
+def test_config_file_values_converted_like_flags(tmp_path):
+    wav = write_melody(tmp_path / "m.wav", seed=63)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frame_size": "1024", "hop": 512, "a4_hz": 440}))
+    out = tmp_path / "out"
+    assert main(["analyze", str(wav), "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "m.json").read_text(encoding="utf-8"))
+    assert report["config"]["frame_size"] == 1024
+    assert report["config"]["a4_hz"] == 440
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,  # no such file
+        "{frame_size: 1024",
+        b'{"mode": "\xe9"}',  # not UTF-8
+        "[]",
+        '"stft"',
+        '{"frame_size": 1024.0}',
+        '{"frame_size": 1024, "hop": 512.5}',
+        '{"top_k": 2.5}',
+        '{"a4_hz": null}',
+        '{"out": 5}',
+    ],
+)
+def test_bad_config_file_exit_2(tmp_path, capsys, monkeypatch, text):
+    monkeypatch.setenv("SOUNDNET_OUT", str(tmp_path / "o"))  # no --out, which would override "out"
+    wav = write_melody(tmp_path / "m.wav", seed=64)
+    cfg = tmp_path / "cfg.json"
+    if isinstance(text, str):
+        cfg.write_text(text, encoding="utf-8")
+    elif text is not None:
+        cfg.write_bytes(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(wav), "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_corpus_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", str(tmp_path), "--jobs", jobs, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "argument --jobs: must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "corpus"])
@@ -244,4 +315,15 @@ def test_run_config_validation():
         RunConfig(frame_size=1000).validate()
     with pytest.raises(ValueError):
         RunConfig(a4_hz=-2.0).validate()
+    for bad in (
+        {"a4_hz": float("nan")},
+        {"a4_hz": float("inf")},
+        {"floor_db": float("nan")},
+        {"top_k": 2.5},
+        {"hop": 512.5},
+        {"frame_size": True},
+    ):
+        with pytest.raises(ValueError):
+            RunConfig(**bad).validate()
     RunConfig().validate()
+    RunConfig(floor_db=float("-inf"), a4_hz=440).validate()  # no floor; a whole-number A4
