@@ -1,9 +1,9 @@
 """Command-line pipeline: analyze single files, sweep corpora, self-test.
 
 Exit codes are stable API: 0 success, 1 selftest failure, 2 usage error (a bad
-flag, setting or --config file) or decode failure, 3 empty (or too short)
-frequency sequence, 4 a corpus directory that cannot be listed or holds no
-analyzable file.
+flag, setting or --config file, or an --out that cannot be a directory) or
+decode failure, 3 empty (or too short) frequency sequence, 4 a corpus
+directory that cannot be listed or holds no analyzable file.
 All reports are pure functions of (input bytes, config): keys are sorted and
 nothing time- or host-dependent is written, so re-runs are byte-identical.
 """
@@ -126,9 +126,22 @@ def _write_piece_artifacts(out_dir: Path, piece: str, report, fit_report, net, s
     (out_dir / f"{piece}.network.svg").write_bytes(svg_report.render_network_svg(net, clique_only=True))
 
 
-def cmd_analyze(path: str, config: RunConfig) -> int:
+def _make_out_dir(config: RunConfig) -> Path | None:
+    """The output directory, created if missing; None, after an error line, if
+    --out names a file or the directory cannot be made."""
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {config.out}: {exc}", file=sys.stderr)
+        return None
+    return out_dir
+
+
+def cmd_analyze(path: str, config: RunConfig) -> int:
+    out_dir = _make_out_dir(config)
+    if out_dir is None:
+        return 2
     piece = Path(path).stem
     try:
         report, fit_report, net, seq = analyze_file(path, config)
@@ -185,8 +198,9 @@ def cmd_corpus(directory: str, config: RunConfig, jobs: int | None = None) -> in
     if not paths:
         print(f"error: no .wav files in {directory}", file=sys.stderr)
         return 4
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(config)
+    if out_dir is None:
+        return 2
     ids = _piece_ids(paths)
 
     analyses = {}

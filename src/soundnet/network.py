@@ -9,7 +9,6 @@ dropped and repeated edges collapse.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,11 @@ PITCH_CLASS_NAMES = ("C", "C♯", "D", "D♯", "E", "F", "F♯", "G", "G♯", "A
 MIDI_LOW = 12   # C0
 MIDI_HIGH = 120  # C9 (exclusive upper edge of the grid)
 
+# accepted A4 anchors: an octave either side of 440 Hz covers every historical
+# and modern concert pitch, and keeps the grid within audible frequencies
+A4_MIN_HZ = 220.0
+A4_MAX_HZ = 880.0
+
 
 def note_name(midi: int) -> str:
     return f"{PITCH_CLASS_NAMES[midi % 12]}{midi // 12 - 1}"
@@ -28,13 +32,13 @@ def note_name(midi: int) -> str:
 
 @dataclass(frozen=True)
 class PitchGrid:
-    """Equal-tempered reference grid, tunable via the A4 anchor."""
+    """Equal-tempered reference grid, tunable via the A4 anchor in [A4_MIN_HZ, A4_MAX_HZ]."""
 
     a4_hz: float = 440.0
 
     def __post_init__(self):
-        if not 0.0 < self.a4_hz < math.inf:  # also rejects NaN
-            raise ValueError("a4_hz must be positive and finite")
+        if not A4_MIN_HZ <= self.a4_hz <= A4_MAX_HZ:  # also rejects NaN
+            raise ValueError(f"a4_hz must be in [{A4_MIN_HZ:g}, {A4_MAX_HZ:g}] Hz, got {self.a4_hz!r}")
 
     def note_freq(self, midi) -> float:
         return self.a4_hz * 2.0 ** ((np.asarray(midi) - 69) / 12.0)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,38 @@ def test_seed_is_not_a_config_key_or_flag(tmp_path, capsys, command):
         main([command, str(tmp_path), "--seed", "1"])
 
 
+@pytest.mark.parametrize("command", ["analyze", "corpus"])
+def test_out_naming_an_existing_file_exit_2(tmp_path, capsys, command):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    wav = write_melody(corpus / "m.wav", seed=65)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    target = wav if command == "analyze" else corpus
+    assert main([command, str(target), "--out", str(out), *MELODY_FLAGS]) == 2
+    assert main([command, str(target), "--out", str(out / "sub"), *MELODY_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: --out {out}") == 2
+    assert out.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("flags", [["--frame-size", str(2**17)], ["--frame-size", str(2**40)], ["--a4", "1e-300"]])
+def test_out_of_range_frame_size_and_a4_exit_2_before_any_work(tmp_path, capsys, flags):
+    wav = write_melody(tmp_path / "m.wav", seed=66)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(wav), "--out", str(tmp_path / "o"), *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert peak < 1 << 20  # rejected before a buffer of frame_size is made
+    err = capsys.readouterr().err
+    assert "frame_size must be at most 65536" in err or "a4_hz must be in [220, 880] Hz" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     wav = write_melody(tmp_path / "m.wav", seed=61)
     target = tmp_path / "envout"
@@ -318,6 +351,8 @@ def test_run_config_validation():
     for bad in (
         {"a4_hz": float("nan")},
         {"a4_hz": float("inf")},
+        {"a4_hz": 1e-300},
+        {"frame_size": 2**17},
         {"floor_db": float("nan")},
         {"top_k": 2.5},
         {"hop": 512.5},

@@ -1,10 +1,11 @@
 """Property test of the whole command line.
 
 Random small WAV files (every supported encoding, mono and stereo, with and
-without edited headers), random valid and invalid flag values and random
-config files go through `analyze` and `corpus`. Every run must end in a
-documented exit code: 0, 2, 3 or 4 returned, or argparse's usage exit 2.
-Any other exception escaping `main` is a bug.
+without edited headers), random valid and invalid flag values, random config
+files and an --out that names an existing file go through `analyze` and
+`corpus`. Every run must end in a documented exit code: 0, 2, 3 or 4
+returned, or argparse's usage exit 2. Any other exception escaping `main` is
+a bug.
 """
 
 import json
@@ -27,8 +28,8 @@ _FIELDS = [(4, 4), (16, 4), (20, 2), (22, 2), (24, 4), (28, 4), (32, 2), (34, 2)
 # config key -> (flag, valid flag values, invalid flag values)
 _FLAGS = {
     "mode": ("--mode", ["stft", "full"], ["wavelet"]),
-    "a4_hz": ("--a4", ["440", "415.3"], ["0", "-1", "nan", "inf", "A4"]),
-    "frame_size": ("--frame-size", ["256", "512", "1024"], ["1000", "1", "0"]),
+    "a4_hz": ("--a4", ["440", "415.3"], ["0", "-1", "nan", "inf", "A4", "1e-300", "219.9", "880.5"]),
+    "frame_size": ("--frame-size", ["256", "512", "1024"], ["1000", "1", "0", "131072", "1099511627776"]),
     "hop": ("--hop", ["64", "128", "256"], ["0", "4096", "0.5"]),
     "top_k": ("--top-k", ["1", "3", "5"], ["0", "-2"]),
     "rel_threshold": ("--rel-threshold", ["0.05", "0.1", "1"], ["0", "1.5", "nan"]),
@@ -99,7 +100,7 @@ def _wav_file(draw, edit_header):
 @st.composite
 def _run(draw):
     """One command line with at most one kind of invalid input."""
-    fault = draw(st.sampled_from([None, None, "wav", "flag", "config", "target"]))
+    fault = draw(st.sampled_from([None, None, "wav", "flag", "config", "target", "out"]))
     command = draw(st.sampled_from(["analyze", "corpus"]))
     wavs = draw(st.lists(_wav_file(fault == "wav"), min_size=1, max_size=3 if command == "corpus" else 1))
     config = dict(draw(st.sampled_from(_CONFIGS)))
@@ -122,20 +123,22 @@ def _run(draw):
         flags.append(f"{flag}={draw(st.sampled_from(invalid if key == bad_key else valid))}")
     if isinstance(config, dict):
         config = json.dumps(config) if config or draw(st.booleans()) else None
-    return command, wavs, flags, config, fault == "target"
+    return command, wavs, flags, config, fault
 
 
 @settings(max_examples=80, deadline=None)
 @given(run=_run())
 def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, run):
-    command, wavs, flags, config, missing_target = run
+    command, wavs, flags, config, fault = run
     with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
         work = Path(work)
         corpus = work / "corpus"
         corpus.mkdir()
         for i, data in enumerate(wavs):
             (corpus / f"p{i}.wav").write_bytes(data)
-        target = work / "missing" if missing_target else corpus if command == "corpus" else corpus / "p0.wav"
+        target = work / "missing" if fault == "target" else corpus if command == "corpus" else corpus / "p0.wav"
+        if fault == "out":  # --out names an existing file
+            (work / "out").write_bytes(b"")
         argv = [command, str(target), f"--out={work / 'out'}", *flags]
         if config is not None:
             if config != "missing":

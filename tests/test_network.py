@@ -55,6 +55,17 @@ def test_note_freq_anchor_exact():
     assert GRID.note_freq(69) == 440.0
 
 
+@pytest.mark.parametrize("a4_hz", [220.0, 415.0, 440.0, 466.16, 880.0])
+def test_a4_in_documented_range_accepted(a4_hz):
+    assert PitchGrid(a4_hz).a4_hz == a4_hz
+
+
+@pytest.mark.parametrize("a4_hz", [219.99, 880.01, 1e-300, 0.0, -440.0, 1e300, float("nan"), float("inf")])
+def test_a4_outside_documented_range_rejected(a4_hz):
+    with pytest.raises(ValueError, match=r"a4_hz must be in \[220, 880\] Hz"):
+        PitchGrid(a4_hz)
+
+
 @pytest.mark.parametrize("a4_hz", [415.0, 440.0, 442.5, 466.16])
 def test_grid_bin_hz_bit_identical_to_note_freq(a4_hz):
     grid = PitchGrid(a4_hz)

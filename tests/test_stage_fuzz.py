@@ -1,0 +1,73 @@
+"""Property tests of `build_network` and `best_fit` on their own.
+
+Random frequency sequences go straight into both functions, without audio:
+empty, constant, tied, heavy-tailed and out-of-grid sequences, with an
+occasional non-positive value. Each call must either return a result that
+holds its invariants or raise a typed `SoundnetError`. Any other exception
+is a bug.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from soundnet.distfit import best_fit
+from soundnet.errors import SoundnetError
+from soundnet.network import MIDI_HIGH, MIDI_LOW, PitchGrid, build_network
+
+GRID = PitchGrid()
+
+
+@st.composite
+def sequences(draw):
+    """A positive, finite frequency sequence of one of the shapes above."""
+    kind = draw(st.sampled_from(["empty", "constant", "tied", "heavy", "out_of_grid"]))
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "empty":
+        values = np.empty(0)
+    elif kind == "constant":
+        values = np.full(n, draw(st.floats(1e-3, 1e5)))
+    elif kind == "tied":
+        levels = rng.uniform(10.0, 10_000.0, size=draw(st.integers(1, 4)))
+        values = rng.choice(levels, size=n)
+    elif kind == "heavy":
+        tail = draw(st.floats(0.2, 3.0))
+        values = draw(st.floats(1.0, 1e4)) * (1.0 + rng.pareto(tail, size=n))
+    else:  # a mix of bins below C0, inside the grid and at or above C9
+        low, high = GRID.low_hz, GRID.high_hz
+        pools = [rng.uniform(1e-3, low, n), rng.uniform(low, high, n), rng.uniform(high, 1e6, n)]
+        values = np.choose(rng.integers(0, 3, n), pools)
+    if values.size and draw(st.booleans()) and draw(st.booleans()):
+        values[rng.integers(values.size)] = draw(st.sampled_from([0.0, -1.0, -440.0]))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequences())
+def test_build_network_returns_a_network_or_a_typed_error(values):
+    try:
+        net = build_network(values, GRID)
+    except SoundnetError:
+        return
+    midis = {b.midi_lower for b in net.nodes}
+    assert midis and all(MIDI_LOW <= m < MIDI_HIGH for m in midis)
+    assert all(a < b and a in midis and b in midis for a, b in net.edges)
+    clique = [b.midi_lower for b in net.largest_clique]
+    assert clique and set(clique) <= midis
+    assert all((a, b) in net.edges for i, a in enumerate(clique) for b in clique[i + 1 :])
+    assert 0 <= net.dropped_components < values.size
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences())
+def test_best_fit_returns_a_report_or_a_typed_error(values):
+    try:
+        report = best_fit(values)
+    except SoundnetError:
+        return
+    assert report.sample_n == values.size
+    best = report.per_family[report.best]
+    assert best.converged
+    assert 0.0 <= best.ks.statistic_d <= 1.0
+    assert set(report.per_family).isdisjoint(report.failed)
