@@ -1,9 +1,10 @@
 """Command-line pipeline: analyze single files, sweep corpora, self-test.
 
 Exit codes are stable API: 0 success, 1 selftest failure, 2 usage error (a bad
-flag, setting or --config file, or an --out that cannot be a directory) or
-decode failure, 3 empty (or too short) frequency sequence, 4 a corpus
-directory that cannot be listed or holds no analyzable file.
+flag, setting or --config file, or an --out that cannot be a directory),
+decode failure or a full-mode transform above spectral.MAX_FULL_FFT, 3 empty
+(or too short) frequency sequence, 4 a corpus directory that cannot be listed
+or holds no analyzable file.
 All reports are pure functions of (input bytes, config): keys are sorted and
 nothing time- or host-dependent is written, so re-runs are byte-identical.
 """
@@ -28,6 +29,7 @@ from .errors import (
     EmptyAudio,
     NonFiniteSamples,
     SoundnetError,
+    TransformTooLarge,
     UnsupportedFormat,
 )
 
@@ -153,7 +155,7 @@ def cmd_analyze(path: str, config: RunConfig) -> int:
 
 def _analysis_exit(exc, path) -> int:
     print(f"error: {path}: {exc}", file=sys.stderr)
-    if isinstance(exc, (UnsupportedFormat, CorruptHeader, EmptyAudio, NonFiniteSamples, OSError)):
+    if isinstance(exc, (UnsupportedFormat, CorruptHeader, EmptyAudio, NonFiniteSamples, TransformTooLarge, OSError)):
         return 2
     return 3  # InsufficientData / EmptyNetwork: nothing usable was extracted
 

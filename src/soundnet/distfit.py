@@ -9,6 +9,28 @@ Gibrat scale, the exponentiated-Weibull shape a) is profiled out.
 
 Gibrat here means a lognormal with the shape pinned at 1, i.e. density
 exp(-(log z)^2 / 2) / (z * sqrt(2*pi)) on z > 0.
+
+The exponentiated-Weibull likelihood need not have an interior maximum. On
+broadband noise its supremum lies on the boundary c -> inf, a -> 0 with a*c
+fixed, where (1 - exp(-z^c))^a tends to the power law z^(a*c); on some small
+or multimodal samples it lies at a -> inf, c -> 0, where the family tends to
+a Frechet law (Cheng & Amin 1983 study such unbounded likelihoods). The
+search therefore runs inside documented bounds, c <= EXPWEIB_MAX_C = 1e3 and
+a <= EXPWEIB_MAX_A = 1e5, two orders of magnitude above any shape an interior
+fit on melodies reaches, and the first objective call past either bound ends
+it. The profile is then evaluated at 10 and 100 times that bound along the
+ray toward the limiting family (_limit_ray). If it still improves at both,
+the supremum is on that boundary: the fit is reported at the best point
+found inside the bounds, with `converged` false and a `reason` naming the
+limit, so it cannot win best_fit. If it does not, the reason says the search
+left the bounds. A search that converges inside the bounds to a point that
+the power-law MLE, the c -> inf limit, matches or beats is reported as a
+power-law boundary fit too. Near the power-law boundary t = (x/scale)^c
+underflows, so wherever w = c log(x/scale) < -30 the term log(1 - exp(-t))
+is taken as its asymptote w - t/2 (Maechler 2012, "Accurately computing
+log(1 - exp(-|a|))"), and the density and CDF are evaluated in log space.
+Where every w is at least -30 the arithmetic is the plain one, so interior
+fits are unaffected.
 """
 
 from __future__ import annotations
@@ -19,13 +41,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllFitsFailed, DegenerateData, InsufficientData, NonConvergence
+from .errors import AllFitsFailed, DegenerateData, InsufficientData, NonConvergence, NonFiniteValues
 from .simplex import nelder_mead
 
 MIN_SAMPLES = 20
 
+# Bounds of the exponentiated-Weibull search (see the module docstring). On the
+# golden and benchmark melodies every point the search visits has c < 2 and
+# a < 1.2e3.
+EXPWEIB_MAX_C = 1e3
+EXPWEIB_MAX_A = 1e5
+BOUNDARY_C = "likelihood supremum at c → ∞ (power-law limit)"
+BOUNDARY_A = "likelihood supremum at a → ∞, c → 0 (Fréchet limit)"
+OUT_OF_BOUNDS = "search left the shape bounds without a supremum on their boundary"
+SIMPLEX_CAP = "simplex search hit its iteration cap"
+_RAY_FACTORS = (10.0, 100.0)
+# below w = log t = -30, log(1 - exp(-t)) equals w - t/2 to double precision
+_TAIL_W = -30.0
+_EXP_MIN = -700.0
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_erf = np.vectorize(math.erf, otypes=[np.float64])
+
+
+def _erf(z):
+    z = np.asarray(z, dtype=np.float64)
+    return np.fromiter(map(math.erf, z.ravel().tolist()), np.float64, count=z.size).reshape(z.shape)
 
 
 def _phi(z):
@@ -87,9 +127,14 @@ class KsResult:
 
 @dataclass(frozen=True)
 class FamilyFit:
+    """One family's fit and KS score; `reason` says why an unconverged fit is
+    not an interior optimum (a supremum on a boundary of the parameter space,
+    a search that left its bounds, or the simplex iteration cap)."""
+
     dist: FittedDistribution
     ks: KsResult
     converged: bool
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -194,8 +239,66 @@ def _powerlaw_cdf(x, shapes, loc, scale):
     return z**a
 
 
+def _exp_log1mexp(w):
+    """(t, log(1 - exp(-t))) for t = exp(w).
+
+    Where every w is at least _TAIL_W this is exp(w) and log(-expm1(-t)).
+    Otherwise log(1 - exp(-t)) is the asymptote w - t/2 wherever w < _TAIL_W,
+    which stays finite where t underflows, and w is clipped at _EXP_MIN before
+    the exponential: below it t only underflows (and numpy's exp leaves its
+    vector path), and raising t to exp(_EXP_MIN) = 1e-304 there changes none of
+    the sums and differences it enters.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        if not w.size or w.min() >= _TAIL_W:
+            t = np.exp(w)
+            return t, np.log(-np.expm1(-t))
+        t = np.exp(np.maximum(w, _EXP_MIN))
+        log_u = w - 0.5 * t
+        head = w >= _TAIL_W
+        log_u[head] = np.log(-np.expm1(-t[head]))
+    return t, log_u
+
+
+def _expweib_log_terms(x, c, loc, scale):
+    """(z, z > 0, log z, w = c log z) with the last two over z > 0."""
+    z = _z(x, loc, scale)
+    m = z > 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        lz = np.log(z[m])
+        return z, m, lz, c * lz
+
+
+def _expweib_logpdf(x, shapes, loc, scale):
+    """Log density in log space throughout; -inf off the support."""
+    a, c = shapes
+    z, m, lz, w = _expweib_log_terms(x, c, loc, scale)
+    t, log_u = _exp_log1mexp(w)
+    out = np.full_like(z, -np.inf)
+    with np.errstate(invalid="ignore"):
+        out[m] = math.log(a) + math.log(c) - math.log(scale) + (a - 1.0) * log_u - t + (c - 1.0) * lz
+    return out
+
+
+def _expweib_logcdf(x, shapes, loc, scale):
+    """Log CDF in log space throughout; -inf off the support."""
+    a, c = shapes
+    z, m, _lz, w = _expweib_log_terms(x, c, loc, scale)
+    out = np.full_like(z, -np.inf)
+    out[m] = a * _exp_log1mexp(w)[1]
+    return out
+
+
+def _expweib_in_tail(x, c, loc, scale) -> bool:
+    w = _expweib_log_terms(x, c, loc, scale)[3]
+    return bool(w.size) and w.min() < _TAIL_W
+
+
 def _expweib_pdf(x, shapes, loc, scale):
     a, c = shapes
+    if _expweib_in_tail(x, c, loc, scale):
+        out = np.exp(_expweib_logpdf(x, shapes, loc, scale))
+        return np.nan_to_num(out, nan=0.0, posinf=np.inf)
     z = _z(x, loc, scale)
     out = np.zeros_like(z)
     m = z > 0
@@ -208,6 +311,8 @@ def _expweib_pdf(x, shapes, loc, scale):
 
 def _expweib_cdf(x, shapes, loc, scale):
     a, c = shapes
+    if _expweib_in_tail(x, c, loc, scale):
+        return np.exp(_expweib_logcdf(x, shapes, loc, scale))
     z = _z(x, loc, scale)
     out = np.zeros_like(z)
     m = z > 0
@@ -246,12 +351,12 @@ def _require_positive(x, family):
 
 
 def _fit_normal(x):
-    return FittedDistribution(DistFamily.NORMAL, (), float(x.mean()), float(x.std())), True
+    return FittedDistribution(DistFamily.NORMAL, (), float(x.mean()), float(x.std())), None
 
 
 def _fit_exponential(x):
     loc = float(x.min())
-    return FittedDistribution(DistFamily.EXPONENTIAL, (), loc, float(x.mean() - loc)), True
+    return FittedDistribution(DistFamily.EXPONENTIAL, (), loc, float(x.mean() - loc)), None
 
 
 def _fit_lognormal(x):
@@ -259,7 +364,7 @@ def _fit_lognormal(x):
     lx = np.log(x)
     return (
         FittedDistribution(DistFamily.LOG_NORMAL, (float(lx.std()),), 0.0, float(np.exp(lx.mean()))),
-        True,
+        None,
     )
 
 
@@ -267,14 +372,14 @@ def _fit_pareto(x):
     _require_positive(x, DistFamily.PARETO)
     scale = float(x.min())
     b = x.size / float(np.sum(np.log(x / scale)))
-    return FittedDistribution(DistFamily.PARETO, (b,), 0.0, scale), True
+    return FittedDistribution(DistFamily.PARETO, (b,), 0.0, scale), None
 
 
 def _fit_powerlaw(x):
     _require_positive(x, DistFamily.POWER_LAW)
     scale = float(x.max())
     a = -x.size / float(np.sum(np.log(x / scale)))
-    return FittedDistribution(DistFamily.POWER_LAW, (a,), 0.0, scale), True
+    return FittedDistribution(DistFamily.POWER_LAW, (a,), 0.0, scale), None
 
 
 def _fit_gibrat(x):
@@ -296,7 +401,45 @@ def _fit_gibrat(x):
 
     result = nelder_mead(lambda params: profile(params)[0], np.array([lo - 0.1 * (hi - lo)]))
     (loc,) = result.x
-    return FittedDistribution(DistFamily.GIBRAT, (), float(loc), profile(result.x)[1]), result.converged
+    return FittedDistribution(DistFamily.GIBRAT, (), float(loc), profile(result.x)[1]), _cap_reason(result)
+
+
+def _cap_reason(result):
+    return None if result.converged else SIMPLEX_CAP
+
+
+class _OutOfBounds(Exception):
+    """Raised by the exponentiated-Weibull objective at its first point past a shape bound."""
+
+    def __init__(self, reason):
+        super().__init__(reason)
+        self.reason = reason
+
+
+def _limit_ray(reason, params, a, lx, factor):
+    """Search coordinates (log c, log scale) on the ray from `params` toward the
+    limiting family of the boundary that `reason` names, where the bounded
+    shape is `factor` times its bound.
+
+    Power-law limit: c grows while c t(x_max) is held, t = (x / scale)^c: for
+    large c the best scale puts t at the largest sample near a constant over
+    c, so the scale tends to x_max. Frechet limit: with
+    t = exp(c (log x - log scale)) and m = mean(log x), log(-log F) is about
+    log a - t = kappa - alpha (log x - m) + O(c), so c falls while kappa =
+    log a - t(m) and alpha = c t(m) are held, until log a = kappa + alpha / c
+    reaches log(factor * EXPWEIB_MAX_A).
+    """
+    c, log_scale = math.exp(params[0]), float(params[1])
+    if reason == BOUNDARY_C:
+        top = float(lx.max())
+        c_ray = factor * EXPWEIB_MAX_C
+        w_top = c * (top - log_scale) + math.log(c / c_ray)
+        return np.array([math.log(c_ray), top - w_top / c_ray])
+    mid = float(lx.mean())
+    t_mid = math.exp(c * (mid - log_scale))
+    kappa, alpha = math.log(a) - t_mid, c * t_mid
+    c_ray = alpha / (math.log(factor * EXPWEIB_MAX_A) - kappa)
+    return np.array([math.log(c_ray), mid - math.log(alpha / c_ray) / c_ray])
 
 
 def _fit_expweib(x):
@@ -316,8 +459,8 @@ def _fit_expweib(x):
         """(negative log-likelihood, a) at (c, scale) = exp(params) with a at its MLE."""
         c, log_scale = math.exp(params[0]), float(params[1])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            t = np.exp(c * (lx - log_scale))
-            sum_log_u = float(np.sum(np.log(-np.expm1(-t))))
+            t, log_u = _exp_log1mexp(c * (lx - log_scale))
+            sum_log_u = float(np.sum(log_u))
             if not -np.inf < sum_log_u < 0.0:
                 return np.inf, np.nan
             a = -n / sum_log_u
@@ -329,13 +472,42 @@ def _fit_expweib(x):
             )
         return (-ll if np.isfinite(ll) else np.inf), a
 
-    result = nelder_mead(lambda params: profile(params)[0], np.array([math.log(c0), math.log(scale0)]))
-    c, scale = np.exp(result.x)
+    def fit_at(params, a, reason):
+        c, scale = np.exp(params)
+        return FittedDistribution(DistFamily.EXPONENTIATED_WEIBULL, (float(a), float(c)), 0.0, float(scale)), reason
+
+    x0 = np.array([math.log(c0), math.log(scale0)])
+    inside = [np.inf, x0]  # the best value and point seen inside the bounds
+
+    def bounded(params):
+        if math.exp(params[0]) > EXPWEIB_MAX_C:
+            raise _OutOfBounds(BOUNDARY_C)
+        value, a = profile(params)
+        if a > EXPWEIB_MAX_A:
+            raise _OutOfBounds(BOUNDARY_A)
+        if value < inside[0]:
+            inside[:] = value, params.copy()
+        return value
+
+    try:
+        result = nelder_mead(bounded, x0)
+    except _OutOfBounds as stop:
+        value, a = profile(inside[1])
+        ray = [profile(_limit_ray(stop.reason, inside[1], a, lx, f))[0] for f in _RAY_FACTORS]
+        return fit_at(inside[1], a, stop.reason if value > ray[0] > ray[1] else OUT_OF_BOUNDS)
     a = profile(result.x)[1]
-    return (
-        FittedDistribution(DistFamily.EXPONENTIATED_WEIBULL, (float(a), float(c)), 0.0, float(scale)),
-        result.converged,
-    )
+    if result.converged and result.fx >= _powerlaw_limit_nll(n, sum_lx, float(lx.max())):
+        # the power law is the c -> inf limit of the family, so a point it beats
+        # is not the supremum: the search stopped on the ridge toward it
+        return fit_at(result.x, a, BOUNDARY_C)
+    return fit_at(result.x, a, _cap_reason(result))
+
+
+def _powerlaw_limit_nll(n, sum_lx, log_top):
+    """Negative log-likelihood of the power-law MLE (scale = max x), from sum(log x)."""
+    sum_lz = sum_lx - n * log_top
+    k = -n / sum_lz
+    return -(n * (math.log(k) - log_top) + (k - 1.0) * sum_lz)
 
 
 _FITTERS = {
@@ -353,6 +525,8 @@ def _check_samples(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     if x.size < MIN_SAMPLES:
         raise InsufficientData(f"need at least {MIN_SAMPLES} samples, got {x.size}")
+    if not np.isfinite(x).all():
+        raise NonFiniteValues("samples contain NaN or infinite values")
     if x.min() == x.max():
         raise DegenerateData("all samples are identical")
     return x
@@ -361,13 +535,14 @@ def _check_samples(samples) -> np.ndarray:
 def fit_mle(family: DistFamily, samples) -> FittedDistribution:
     """Fit one family by maximum likelihood.
 
-    Raises InsufficientData / DegenerateData on bad input and NonConvergence
-    (carrying the best fit found) if the simplex search hits its cap.
+    Raises InsufficientData / DegenerateData / NonFiniteValues on bad input,
+    and NonConvergence (carrying the fit found) if the simplex search hits its
+    cap or the likelihood's supremum lies on a boundary of the parameter space.
     """
     x = _check_samples(samples)
-    fit, converged = _FITTERS[family](x)
-    if not converged:
-        raise NonConvergence(f"{family.value} fit did not converge", fit=fit)
+    fit, reason = _FITTERS[family](x)
+    if reason is not None:
+        raise NonConvergence(f"{family.value} fit did not converge: {reason}", fit=fit)
     return fit
 
 
@@ -378,9 +553,14 @@ def ks_test(fit: FittedDistribution, samples) -> KsResult:
     p = Q_KS(lambda) with lambda = (sqrt(n) + 0.12 + 0.11/sqrt(n)) * D.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64))
-    n = x.size
-    if n < 1:
+    if x.size < 1:
         raise ValueError("ks_test needs at least one sample")
+    return _ks_sorted(fit, x)
+
+
+def _ks_sorted(fit: FittedDistribution, x: np.ndarray) -> KsResult:
+    """ks_test on a sample that is already sorted ascending."""
+    n = x.size
     f = fit.cdf(x)
     i = np.arange(1, n + 1, dtype=np.float64)
     d = float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
@@ -420,15 +600,18 @@ def best_fit(samples) -> FitReport:
     """Fit all seven families, KS-score each, and pick the converged fit with
     the smallest D (ties: fewer parameters, then family name)."""
     x = _check_samples(samples)
+    x_sorted = np.sort(x)
     per_family = {}
     failed = {}
     for family in ALL_FAMILIES:
         try:
-            fit, converged = _FITTERS[family](x)
+            fit, reason = _FITTERS[family](x)
         except (ValueError, FloatingPointError, OverflowError, ZeroDivisionError) as exc:
             failed[family] = str(exc)
             continue
-        per_family[family] = FamilyFit(dist=fit, ks=ks_test(fit, x), converged=converged)
+        per_family[family] = FamilyFit(
+            dist=fit, ks=_ks_sorted(fit, x_sorted), converged=reason is None, reason=reason
+        )
 
     converged = [(ff.ks.statistic_d, ff.dist.param_count, fam.value, fam) for fam, ff in per_family.items() if ff.converged]
     if not converged:
@@ -438,7 +621,8 @@ def best_fit(samples) -> FitReport:
 
 
 def report_to_dict(report: FitReport) -> dict:
-    """JSON-ready view of a FitReport: params are [shape..., loc, scale]."""
+    """JSON-ready view of a FitReport: params are [shape..., loc, scale]; an
+    unconverged fit also carries its `reason`."""
     families = {}
     for family, ff in report.per_family.items():
         families[family.value] = {
@@ -447,6 +631,8 @@ def report_to_dict(report: FitReport) -> dict:
             "ks_p": ff.ks.p_value,
             "converged": ff.converged,
         }
+        if ff.reason is not None:
+            families[family.value]["reason"] = ff.reason
     for family, message in report.failed.items():
         families[family.value] = {"error": message, "converged": False}
     return {"best": report.best.value, "n": report.sample_n, "families": families}

@@ -29,6 +29,16 @@ class EmptyInput(SoundnetError):
     """Transform requested on an empty sample sequence."""
 
 
+class TransformTooLarge(SoundnetError):
+    """A full-spectrum transform would exceed spectral.MAX_FULL_FFT points."""
+
+
+# --- frequency sequences (fitting and networks) ---
+
+class NonFiniteValues(SoundnetError):
+    """A sequence holds NaN or infinite values."""
+
+
 # --- distribution fitting ---
 
 class InsufficientData(SoundnetError):
@@ -40,7 +50,9 @@ class DegenerateData(SoundnetError):
 
 
 class NonConvergence(SoundnetError):
-    """Simplex search hit the iteration cap. Carries the best fit found so far."""
+    """No interior optimum was found: the simplex search hit its iteration cap,
+    or the likelihood's supremum lies on a boundary of the parameter space.
+    Carries the fit found."""
 
     def __init__(self, message, fit=None):
         super().__init__(message)

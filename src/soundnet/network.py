@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyNetwork, NonPositiveFrequency, SingleNode
+from .errors import EmptyNetwork, NonFiniteValues, NonPositiveFrequency, SingleNode
 
 PITCH_CLASS_NAMES = ("C", "C♯", "D", "D♯", "E", "F", "F♯", "G", "G♯", "A", "A♯", "B")
 
@@ -165,10 +165,13 @@ def build_network(seq, grid: PitchGrid | None = None) -> SoundNetwork:
 
     Out-of-range components are removed (and counted) before pairing, so the
     neighbors of a dropped component become adjacent in the sequence.
-    Raises EmptyNetwork when nothing maps onto the grid.
+    Raises NonFiniteValues on a NaN or infinite component, NonPositiveFrequency
+    on one at or below 0 Hz, and EmptyNetwork when nothing maps onto the grid.
     """
     grid = grid or PitchGrid()
     values = np.asarray(getattr(seq, "values_hz", seq), dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise NonFiniteValues("sequence contains NaN or infinite frequencies")
     if values.size and values.min() <= 0.0:
         raise NonPositiveFrequency("sequence contains non-positive frequencies")
 

@@ -13,6 +13,13 @@ chunk are picked candidate-first: only the bins at or above their frame's
 relative threshold are tested for a strict rise and a strict fall, and only
 the frames where such a bin starts a plateau go through the full plateau
 rule. The whole-signal spectrum of the full mode uses the same picker.
+
+The full mode keeps only the non-negative-frequency half of its transform
+(the rfft half); Spectrum.bins builds the conjugate mirror on demand. Its
+transform size is capped at MAX_FULL_FFT = 2^26 points (about 25 minutes at
+44.1 kHz). The transform and the peak picking then take about 1.6 GiB on
+broadband noise (25.5 bytes per point, traced at 2^19 points); longer
+signals raise TransformTooLarge.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioBuffer
-from .errors import EmptyInput
+from .errors import EmptyInput, TransformTooLarge
 
 # STFT frames per rfft batch, chosen by measurement: on 60 s melodies at frame
 # size 4096, 64 frames per chunk beat 256. A chunk's working set is at most
@@ -32,6 +39,7 @@ from .errors import EmptyInput
 # peak candidate (noise, silence): 8.7 MiB at 4096, 140 MiB at MAX_FRAME_SIZE.
 _CHUNK_FRAMES = 64
 MAX_FRAME_SIZE = 1 << 16
+MAX_FULL_FFT = 1 << 26
 
 
 class SequenceMode(enum.Enum):
@@ -73,11 +81,16 @@ class PeakParams:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full complex DFT of a real signal."""
+    """DFT of a real signal, held as its bins 0..N/2 (the rfft half)."""
 
-    bins: np.ndarray
+    half: np.ndarray
     n_fft: int
     sample_rate_hz: float
+
+    @property
+    def bins(self) -> np.ndarray:
+        """All N complex bins: the half, then the conjugate mirror of bins N/2-1 down to 1."""
+        return np.concatenate([self.half, np.conj(self.half[-2:0:-1])])
 
     def bin_hz(self, k) -> float:
         return k * self.sample_rate_hz / self.n_fft
@@ -101,19 +114,21 @@ def next_pow2(n: int) -> int:
 
 
 def dft(samples, sample_rate_hz: float = 1.0) -> Spectrum:
-    """Full complex DFT, zero-padded to the next power of two.
+    """DFT zero-padded to the next power of two N, held as its rfft half.
 
-    The negative-frequency half is the conjugate mirror of the real-input
-    transform, so bins [0, N/2] equal np.fft.rfft bit for bit, as in the STFT.
-    Raises EmptyInput on an empty sequence.
+    Bins [0, N/2] equal np.fft.rfft bit for bit, as in the STFT. Raises
+    EmptyInput on an empty sequence and TransformTooLarge when N would exceed
+    MAX_FULL_FFT.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0:
         raise EmptyInput("cannot transform an empty signal")
     n = next_pow2(x.size)
-    half = np.fft.rfft(x, n)
-    bins = np.concatenate([half, np.conj(half[-2:0:-1])])
-    return Spectrum(bins=bins, n_fft=n, sample_rate_hz=sample_rate_hz)
+    if n > MAX_FULL_FFT:
+        raise TransformTooLarge(
+            f"{x.size} samples need a {n}-point transform, above the full-mode cap of {MAX_FULL_FFT}; use --mode stft"
+        )
+    return Spectrum(half=np.fft.rfft(x, n), n_fft=n, sample_rate_hz=sample_rate_hz)
 
 
 def _peak_mask(mag: np.ndarray) -> np.ndarray:
@@ -185,7 +200,7 @@ def extract_sequence_full(spectrum: Spectrum, params: PeakParams | None = None) 
     same positive-frequency range). Silence yields an empty sequence.
     """
     params = params or PeakParams()
-    mag = np.abs(spectrum.bins[: spectrum.n_fft // 2 + 1])
+    mag = np.abs(spectrum.half)
     peaks, top = _pick_peaks(mag[None, :], params.rel_threshold)
     peaks = peaks[mag[peaks] >= top[0] * 10.0 ** (params.floor_db / 20.0)]
     values = peaks.astype(np.float64) * (spectrum.sample_rate_hz / spectrum.n_fft)

@@ -109,21 +109,24 @@ def render_fit_svg(samples, fit_report: FitReport) -> bytes:
     pdf = np.where(np.isfinite(pdf), pdf, 0.0)
     y_max = max(float(density.max()), float(pdf.max()), 1e-12) * 1.05
 
+    # every coordinate below is computed on arrays with the same expressions, in
+    # the same order, as for one value, then formatted from Python floats
     def hx(v):
         return left1 + (v - lo) / span * panel_w
 
     def hy(v):
         return top + panel_h - v / y_max * panel_h
 
-    for i, d in enumerate(density):
-        if d <= 0:
-            continue
+    bars = density > 0
+    d = density[bars]
+    areas, heights = d * (span / _FIT_BINS), panel_h * d / y_max
+    bar_w = _f(panel_w / _FIT_BINS)
+    for area, bx, by, bh in zip(areas.tolist(), hx(edges[:-1][bars]).tolist(), hy(d).tolist(), heights.tolist()):
         body.append(
-            f'<rect class="hist" data-area="{float(d * (span / _FIT_BINS))!r}" x="{_f(hx(edges[i]))}" y="{_f(hy(d))}" '
-            f'width="{_f(panel_w / _FIT_BINS)}" height="{_f(panel_h * d / y_max)}" '
-            f'fill="#9ecae1" stroke="none"/>'
+            f'<rect class="hist" data-area="{area!r}" x="{_f(bx)}" y="{_f(by)}" '
+            f'width="{bar_w}" height="{_f(bh)}" fill="#9ecae1" stroke="none"/>'
         )
-    body.append(_path(grid, pdf, hx, hy, "#d62728"))
+    body.append(_path(hx(grid), hy(pdf), "#d62728"))
     body.extend(_panel_frame(left1, top, panel_w, panel_h, "frequency component (Hz)", "density"))
 
     # right panel: ECDF steps as a polyline, fitted CDF as the second path
@@ -136,20 +139,19 @@ def render_fit_svg(samples, fit_report: FitReport) -> bytes:
     idx = np.arange(x.size)
     if x.size > 1200:
         idx = np.unique(np.linspace(0, x.size - 1, 1200).astype(int))
-    pts = []
-    for i in idx:
-        pts.append(f"{_f(cx(x[i]))},{_f(cy(i / x.size))}")
-        pts.append(f"{_f(cx(x[i]))},{_f(cy((i + 1) / x.size))}")
-    body.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="#2c7fb8" stroke-width="1.5"/>')
-    body.append(_path(grid, np.clip(dist.cdf(grid), 0.0, 1.0), cx, cy, "#d62728"))
+    steps = zip(cx(x[idx]).tolist(), cy(idx / x.size).tolist(), cy((idx + 1) / x.size).tolist())
+    pts = " ".join(f"{_f(px)},{_f(y0)} {_f(px)},{_f(y1)}" for px, y0, y1 in steps)
+    body.append(f'<polyline points="{pts}" fill="none" stroke="#2c7fb8" stroke-width="1.5"/>')
+    body.append(_path(cx(grid), cy(np.clip(dist.cdf(grid), 0.0, 1.0)), "#d62728"))
     body.extend(_panel_frame(left2, top, panel_w, panel_h, "frequency component (Hz)", "CDF"))
 
     return _document(width, height, body)
 
 
-def _path(xs, ys, to_x, to_y, color) -> str:
-    parts = [f"{'M' if i == 0 else 'L'} {_f(to_x(x))} {_f(to_y(y))}" for i, (x, y) in enumerate(zip(xs, ys))]
-    return f'<path d="{" ".join(parts)}" fill="none" stroke="{color}" stroke-width="2"/>'
+def _path(px, py, color) -> str:
+    """A polyline path through the points (px[i], py[i]), given as arrays."""
+    d = " L ".join(f"{_f(x)} {_f(y)}" for x, y in zip(px.tolist(), py.tolist()))
+    return f'<path d="M {d}" fill="none" stroke="{color}" stroke-width="2"/>'
 
 
 def _panel_frame(left, top, w, h, x_label, y_label) -> list:

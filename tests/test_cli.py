@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import sine, wav_bytes
-from soundnet import audio_io
+from soundnet import audio_io, spectral
 from soundnet.cli import RunConfig, _piece_ids, main
 
 
@@ -75,6 +75,22 @@ def test_analyze_undecodable_exit_2(tmp_path, capsys):
     assert main(["analyze", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert main(["analyze", str(tmp_path / "missing.wav"), "--out", str(tmp_path / "o")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_full_mode_above_transform_cap_exits_2_and_corpus_skips(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_FULL_FFT", 16384)
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    write_melody(corpus_dir / "short1.wav", seed=72, seconds=2.0)
+    write_melody(corpus_dir / "short2.wav", seed=73, seconds=2.0)
+    wav = write_melody(corpus_dir / "long.wav", seed=74, seconds=2.5)  # 20000 samples need 32768 points
+    assert main(["analyze", str(wav), "--mode", "full", "--out", str(tmp_path / "o")]) == 2
+    assert "full-mode cap of 16384" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["corpus", str(corpus_dir), "--mode", "full", "--out", str(out)]) == 0
+    corpus_json = json.loads((out / "corpus.json").read_text(encoding="utf-8"))
+    assert corpus_json["pieces"] == ["short1", "short2"]
+    assert "full-mode cap" in corpus_json["skipped"]["long"]
 
 
 @pytest.mark.parametrize("dtype", ["<f4", "<f8"])

@@ -7,7 +7,7 @@ from scipy import integrate, stats
 
 from soundnet import distfit
 from soundnet.distfit import ALL_FAMILIES, DistFamily, FittedDistribution
-from soundnet.errors import DegenerateData, InsufficientData, NonConvergence
+from soundnet.errors import DegenerateData, InsufficientData, NonConvergence, NonFiniteValues
 
 
 def repeat(values, times=7):
@@ -316,3 +316,28 @@ def test_report_dict_shape(rng):
     assert len(payload["families"]["gibrat"]["params"]) == 2
     for entry in payload["families"].values():
         assert set(entry) >= {"params", "ks_d", "ks_p", "converged"}
+
+
+def test_erf_matches_math_erf_bit_for_bit(rng):
+    reference = np.vectorize(math.erf, otypes=[np.float64])
+    for z in (rng.normal(0.0, 3.0, 5000), rng.normal(size=(7, 11)), np.float64(0.3), np.array([-np.inf, np.inf, -0.0, np.nan])):
+        got = distfit._erf(z)
+        assert got.shape == np.shape(z)
+        assert np.array_equal(got, reference(z), equal_nan=True)
+
+
+def test_best_fit_ks_equals_public_ks_test(rng):
+    # best_fit sorts the sample once for all seven KS tests
+    x = rng.lognormal(1.0, 0.6, 3000) + 1.0
+    report = distfit.best_fit(x)
+    for family, ff in report.per_family.items():
+        assert ff.ks == distfit.ks_test(ff.dist, x), family
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_rejected(bad):
+    x = [1.0] * 50 + [bad]
+    with pytest.raises(NonFiniteValues):
+        distfit.best_fit(x)
+    with pytest.raises(NonFiniteValues):
+        distfit.fit_mle(DistFamily.NORMAL, x)

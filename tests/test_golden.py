@@ -76,7 +76,7 @@ GOLDEN_CORPUS_FULL = {
     "b_pcm24_stereo.json": "cf5455faedbb712570ac6881becb70f488eec0bf970cd51e19d69ec82f595b8b",
     "b_pcm24_stereo.network.svg": "c31c3a4414d45ba9784da7766d61079751ead44b61314baa4c2f0cca2e54cda5",
     "c_float32.fit.svg": "3de5c9f1c85495154205d7e3424f6888b6072e2e8fba3ebf57fcbf812186b550",
-    "c_float32.json": "bec9b16f65da1343b70ef7e5828ed6d0cef67a6c1c77c9d7f129da6832125173",
+    "c_float32.json": "b998f3f9815a77cb1fb4ece4a8acab9bd10c46f2a8cd6eb091c9799b93705cb0",
     "c_float32.network.svg": "f4566ea88d2b6c38f2de90a65f07c2e4c8c0eb88bb675c6c3aac1b7dc2b667e3",
     "corpus.cliques.svg": "184794f4fc6257b3c7a94c127a7d5fa068792334eb975fe836578f3ac3469748",
     "corpus.heatmap.svg": "8676ba93b9e76945e08f179131cf5d8fbef0f4b022401d0f19ffb6a7badc2e3e",

@@ -1,4 +1,4 @@
-"""Memory bounds of the decode and STFT front end, measured with tracemalloc.
+"""Memory bounds of the decode, STFT and full-mode front end, measured with tracemalloc.
 
 numpy reports its buffers to tracemalloc, so the traced peak counts every
 array a call makes, deterministically and without touching the process's
@@ -13,6 +13,7 @@ import pytest
 from conftest import wav_bytes
 from soundnet import spectral
 from soundnet.audio_io import AudioBuffer, decode_wav
+from soundnet.errors import TransformTooLarge
 
 RATE = 44100
 
@@ -79,3 +80,19 @@ def test_frame_size_above_cap_rejected(frame_size):
     with pytest.raises(ValueError, match="frame_size must be at most 65536"):
         spectral.PeakParams(frame_size=frame_size, hop=1024)
     spectral.PeakParams(frame_size=spectral.MAX_FRAME_SIZE, hop=1024)
+
+
+def test_full_mode_transform_holds_only_the_rfft_half():
+    x = np.random.default_rng(3).standard_normal(300_000)
+    spec = spectral.dft(x, RATE)
+    n = spec.n_fft
+    assert np.array_equal(spec.half, np.fft.rfft(x, n))
+    assert spec.bins.shape == (n,)
+    # the half spectrum is 8 n bytes; the conjugate mirror is built only on request
+    assert traced_peak(spectral.dft, x) < 9 * n
+
+
+def test_full_mode_transform_above_cap_rejected():
+    # a zero-stride view: the cap is checked before anything is allocated
+    with pytest.raises(TransformTooLarge, match="use --mode stft"):
+        spectral.dft(np.broadcast_to(0.0, (spectral.MAX_FULL_FFT + 1,)))

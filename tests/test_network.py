@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from soundnet import network
-from soundnet.errors import EmptyNetwork, NonPositiveFrequency, SingleNode
+from soundnet.errors import EmptyNetwork, NonFiniteValues, NonPositiveFrequency, SingleNode
 from soundnet.network import (
     OCTAVE_BUCKETS,
     PitchGrid,
@@ -326,3 +326,12 @@ def test_direct_network_rejects_duplicate_node():
     nodes = tuple(grid_bin(m) for m in (60, 60, 61))
     with pytest.raises(ValueError):
         network.SoundNetwork(grid=GRID, nodes=nodes, edges=frozenset({(60, 61)}))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_frequency_rejected(bad):
+    # not counted as a component outside the grid
+    with pytest.raises(NonFiniteValues):
+        build_network([bad, 440.0])
+    with pytest.raises(NonFiniteValues):
+        build_network([261.6, 440.0, bad, 523.3])

@@ -2,9 +2,10 @@
 
 Random frequency sequences go straight into both functions, without audio:
 empty, constant, tied, heavy-tailed and out-of-grid sequences, with an
-occasional non-positive value. Each call must either return a result that
-holds its invariants or raise a typed `SoundnetError`. Any other exception
-is a bug.
+occasional non-positive, NaN or infinite value. Each call must either return
+a result that holds its invariants or raise a typed `SoundnetError`; a
+sequence holding NaN or an infinite value must always raise. Any other
+exception is a bug.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ GRID = PitchGrid()
 
 @st.composite
 def sequences(draw):
-    """A positive, finite frequency sequence of one of the shapes above."""
+    """A frequency sequence of one of the shapes above, now and then with one bad value."""
     kind = draw(st.sampled_from(["empty", "constant", "tied", "heavy", "out_of_grid"]))
     n = draw(st.integers(1, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -39,7 +40,7 @@ def sequences(draw):
         pools = [rng.uniform(1e-3, low, n), rng.uniform(low, high, n), rng.uniform(high, 1e6, n)]
         values = np.choose(rng.integers(0, 3, n), pools)
     if values.size and draw(st.booleans()) and draw(st.booleans()):
-        values[rng.integers(values.size)] = draw(st.sampled_from([0.0, -1.0, -440.0]))
+        values[rng.integers(values.size)] = draw(st.sampled_from([0.0, -1.0, -440.0, np.nan, np.inf, -np.inf]))
     return values
 
 
@@ -50,6 +51,7 @@ def test_build_network_returns_a_network_or_a_typed_error(values):
         net = build_network(values, GRID)
     except SoundnetError:
         return
+    assert np.isfinite(values).all()
     midis = {b.midi_lower for b in net.nodes}
     assert midis and all(MIDI_LOW <= m < MIDI_HIGH for m in midis)
     assert all(a < b and a in midis and b in midis for a, b in net.edges)
@@ -66,6 +68,7 @@ def test_best_fit_returns_a_report_or_a_typed_error(values):
         report = best_fit(values)
     except SoundnetError:
         return
+    assert np.isfinite(values).all()
     assert report.sample_n == values.size
     best = report.per_family[report.best]
     assert best.converged
