@@ -35,8 +35,11 @@ from .errors import (
 
 ENV_OUT = "SOUNDNET_OUT"
 
-# RunConfig annotation -> accepted value types; a whole number is a valid float
+# RunConfig annotation -> accepted value types; a whole number is a valid float,
+# and the last type parses the field's command-line flag
 _FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+# RunConfig fields with a closed set of values
+_CHOICES = {"mode": ("stft", "full"), "alignment": (corpus_mod.ALIGN_UNION, corpus_mod.ALIGN_INTERSECTION)}
 
 
 @dataclass(frozen=True)
@@ -68,10 +71,9 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
-        if self.mode not in ("stft", "full"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.alignment not in (corpus_mod.ALIGN_UNION, corpus_mod.ALIGN_INTERSECTION):
-            raise ValueError(f"unknown alignment {self.alignment!r}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         self.peak_params()
         self.grid()
 
@@ -259,21 +261,23 @@ def _pool_size(text: str) -> int:
     return jobs
 
 
+# RunConfig fields whose flag is not --<field-name>: (flag, help)
+_FLAGS = {"a4_hz": ("--a4", "A4 reference in Hz")}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="soundnet", description="Analyze WAV recordings as networks of pitch bins.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config_flags(p):
         p.add_argument("--config", help="JSON file with default flag values (flags override)")
-        p.add_argument("--mode", choices=("stft", "full"), default="stft")
-        p.add_argument("--a4", dest="a4_hz", type=float, default=440.0, help="A4 reference in Hz")
-        p.add_argument("--frame-size", type=int, default=4096)
-        p.add_argument("--hop", type=int, default=2048)
-        p.add_argument("--top-k", type=int, default=5)
-        p.add_argument("--rel-threshold", type=float, default=0.1)
-        p.add_argument("--floor-db", type=float, default=-60.0)
-        p.add_argument("--alignment", choices=("union", "intersection"), default="union")
-        p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or .)")
+        for f in fields(RunConfig):
+            if f.name == "out":
+                continue  # its default is read from the environment first, in _config_from_args
+            flag, help_text = _FLAGS.get(f.name, ("--" + f.name.replace("_", "-"), None))
+            parse = _FIELD_TYPES[f.type][-1]
+            p.add_argument(flag, dest=f.name, type=parse, choices=_CHOICES.get(f.name), default=f.default, help=help_text)
+        p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or {RunConfig.out})")
 
     p_analyze = sub.add_parser("analyze", help="analyze one WAV file")
     p_analyze.add_argument("file")
@@ -308,7 +312,7 @@ def _load_config(parser, path: str) -> dict:
 def _config_from_args(args) -> RunConfig:
     values = {key: getattr(args, key) for key in _CONFIG_KEYS}
     if values["out"] is None:
-        values["out"] = os.environ.get(ENV_OUT, ".")
+        values["out"] = os.environ.get(ENV_OUT, RunConfig.out)
     config = RunConfig(**values)
     config.validate()
     return config

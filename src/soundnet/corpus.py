@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, NonFiniteValues
 from .network import OCTAVE_BUCKETS, SoundNetwork, clique_octave_histogram
 
 ALIGN_UNION = "union"
@@ -59,12 +59,15 @@ def spearman(x, y) -> float:
     """Spearman coefficient: Pearson correlation of average-ranked values.
 
     Raises DegenerateInput when either side is constant (undefined rank
-    correlation) or the lengths disagree.
+    correlation) or the lengths disagree, and NonFiniteValues when either
+    holds NaN or an infinite value.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size < 2:
         raise DegenerateInput("spearman needs two equally sized vectors of length >= 2")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteValues("spearman input contains NaN or infinite values")
     if x.min() == x.max() or y.min() == y.max():
         raise DegenerateInput("constant vector: rank correlation undefined")
     rx = average_ranks(x)

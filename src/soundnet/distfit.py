@@ -28,9 +28,8 @@ the power-law MLE, the c -> inf limit, matches or beats is reported as a
 power-law boundary fit too. Near the power-law boundary t = (x/scale)^c
 underflows, so wherever w = c log(x/scale) < -30 the term log(1 - exp(-t))
 is taken as its asymptote w - t/2 (Maechler 2012, "Accurately computing
-log(1 - exp(-|a|))"), and the density and CDF are evaluated in log space.
-Where every w is at least -30 the arithmetic is the plain one, so interior
-fits are unaffected.
+log(1 - exp(-|a|))"). The density and CDF are exp of the log density and log
+CDF everywhere, so they stay positive where t underflows.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllFitsFailed, DegenerateData, InsufficientData, NonConvergence, NonFiniteValues
+from .errors import AllFitsFailed, DegenerateData, InsufficientData, InvalidFit, NonConvergence, NonFiniteValues
 from .simplex import nelder_mead
 
 MIN_SAMPLES = 20
@@ -82,15 +81,7 @@ class DistFamily(enum.Enum):
     EXPONENTIATED_WEIBULL = "exponentiated_weibull"
 
 
-ALL_FAMILIES = (
-    DistFamily.NORMAL,
-    DistFamily.LOG_NORMAL,
-    DistFamily.EXPONENTIAL,
-    DistFamily.PARETO,
-    DistFamily.GIBRAT,
-    DistFamily.POWER_LAW,
-    DistFamily.EXPONENTIATED_WEIBULL,
-)
+ALL_FAMILIES = tuple(DistFamily)
 
 
 @dataclass(frozen=True)
@@ -101,10 +92,10 @@ class FittedDistribution:
     scale: float
 
     def pdf(self, x):
-        return _PDFS[self.family](np.asarray(x, dtype=np.float64), self.shape_params, self.loc, self.scale)
+        return _DENSITIES[self.family][0](np.asarray(x, dtype=np.float64), self.shape_params, self.loc, self.scale)
 
     def cdf(self, x):
-        return _CDFS[self.family](np.asarray(x, dtype=np.float64), self.shape_params, self.loc, self.scale)
+        return _DENSITIES[self.family][1](np.asarray(x, dtype=np.float64), self.shape_params, self.loc, self.scale)
 
     def loglike(self, samples) -> float:
         with np.errstate(divide="ignore"):
@@ -151,6 +142,15 @@ def _z(x, loc, scale):
     return (x - loc) / scale
 
 
+def _on_support(x, loc, scale, support, f, off=0.0):
+    """f(z) where support(z) holds for z = (x - loc) / scale, `off` elsewhere."""
+    z = _z(x, loc, scale)
+    out = np.full_like(z, off)
+    m = support(z)
+    out[m] = f(z[m])
+    return out
+
+
 def _normal_pdf(x, _shapes, loc, scale):
     z = _z(x, loc, scale)
     return np.exp(-0.5 * z * z) / (scale * _SQRT_2PI)
@@ -162,75 +162,37 @@ def _normal_cdf(x, _shapes, loc, scale):
 
 def _lognormal_pdf(x, shapes, loc, scale):
     (s,) = shapes
-    z = _z(x, loc, scale)
-    out = np.zeros_like(z)
-    m = z > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lz = np.log(z, where=m, out=np.zeros_like(z))
-    out[m] = np.exp(-0.5 * (lz[m] / s) ** 2) / (z[m] * s * _SQRT_2PI) / scale
-    return out
+    return _on_support(
+        x, loc, scale, lambda z: z > 0, lambda z: np.exp(-0.5 * (np.log(z) / s) ** 2) / (z * s * _SQRT_2PI) / scale
+    )
 
 
 def _lognormal_cdf(x, shapes, loc, scale):
     (s,) = shapes
-    z = _z(x, loc, scale)
-    out = np.zeros_like(z)
-    m = z > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lz = np.log(z, where=m, out=np.zeros_like(z))
-    out[m] = _phi(lz[m] / s)
-    return out
+    return _on_support(x, loc, scale, lambda z: z > 0, lambda z: _phi(np.log(z) / s))
 
 
 def _exponential_pdf(x, _shapes, loc, scale):
-    z = _z(x, loc, scale)
-    out = np.zeros_like(z)
-    m = z >= 0
-    out[m] = np.exp(-z[m]) / scale
-    return out
+    return _on_support(x, loc, scale, lambda z: z >= 0, lambda z: np.exp(-z) / scale)
 
 
 def _exponential_cdf(x, _shapes, loc, scale):
-    z = _z(x, loc, scale)
-    out = np.zeros_like(z)
-    m = z >= 0
-    out[m] = -np.expm1(-z[m])
-    return out
+    return _on_support(x, loc, scale, lambda z: z >= 0, lambda z: -np.expm1(-z))
 
 
 def _pareto_pdf(x, shapes, loc, scale):
     (b,) = shapes
-    z = _z(x, loc, scale)
-    out = np.zeros_like(z)
-    m = z >= 1
-    out[m] = b / scale * z[m] ** (-b - 1.0)
-    return out
+    return _on_support(x, loc, scale, lambda z: z >= 1, lambda z: b / scale * z ** (-b - 1.0))
 
 
 def _pareto_cdf(x, shapes, loc, scale):
     (b,) = shapes
-    z = _z(x, loc, scale)
-    out = np.zeros_like(z)
-    m = z >= 1
-    out[m] = 1.0 - z[m] ** (-b)
-    return out
-
-
-def _gibrat_pdf(x, _shapes, loc, scale):
-    return _lognormal_pdf(x, (1.0,), loc, scale)
-
-
-def _gibrat_cdf(x, _shapes, loc, scale):
-    return _lognormal_cdf(x, (1.0,), loc, scale)
+    return _on_support(x, loc, scale, lambda z: z >= 1, lambda z: 1.0 - z ** (-b))
 
 
 def _powerlaw_pdf(x, shapes, loc, scale):
     (a,) = shapes
-    z = _z(x, loc, scale)
-    out = np.zeros_like(z)
-    m = (z > 0) & (z <= 1)
-    out[m] = a / scale * z[m] ** (a - 1.0)
-    return out
+    return _on_support(x, loc, scale, lambda z: (z > 0) & (z <= 1), lambda z: a / scale * z ** (a - 1.0))
 
 
 def _powerlaw_cdf(x, shapes, loc, scale):
@@ -260,86 +222,50 @@ def _exp_log1mexp(w):
     return t, log_u
 
 
-def _expweib_log_terms(x, c, loc, scale):
-    """(z, z > 0, log z, w = c log z) with the last two over z > 0."""
-    z = _z(x, loc, scale)
-    m = z > 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        lz = np.log(z[m])
-        return z, m, lz, c * lz
-
-
 def _expweib_logpdf(x, shapes, loc, scale):
     """Log density in log space throughout; -inf off the support."""
     a, c = shapes
-    z, m, lz, w = _expweib_log_terms(x, c, loc, scale)
-    t, log_u = _exp_log1mexp(w)
-    out = np.full_like(z, -np.inf)
-    with np.errstate(invalid="ignore"):
-        out[m] = math.log(a) + math.log(c) - math.log(scale) + (a - 1.0) * log_u - t + (c - 1.0) * lz
-    return out
+
+    def logpdf(z):
+        lz = np.log(z)
+        t, log_u = _exp_log1mexp(c * lz)
+        return math.log(a) + math.log(c) - math.log(scale) + (a - 1.0) * log_u - t + (c - 1.0) * lz
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _on_support(x, loc, scale, lambda z: z > 0, logpdf, off=-np.inf)
 
 
 def _expweib_logcdf(x, shapes, loc, scale):
     """Log CDF in log space throughout; -inf off the support."""
     a, c = shapes
-    z, m, _lz, w = _expweib_log_terms(x, c, loc, scale)
-    out = np.full_like(z, -np.inf)
-    out[m] = a * _exp_log1mexp(w)[1]
-    return out
-
-
-def _expweib_in_tail(x, c, loc, scale) -> bool:
-    w = _expweib_log_terms(x, c, loc, scale)[3]
-    return bool(w.size) and w.min() < _TAIL_W
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _on_support(
+            x, loc, scale, lambda z: z > 0, lambda z: a * _exp_log1mexp(c * np.log(z))[1], off=-np.inf
+        )
 
 
 def _expweib_pdf(x, shapes, loc, scale):
-    a, c = shapes
-    if _expweib_in_tail(x, c, loc, scale):
-        out = np.exp(_expweib_logpdf(x, shapes, loc, scale))
-        return np.nan_to_num(out, nan=0.0, posinf=np.inf)
-    z = _z(x, loc, scale)
-    out = np.zeros_like(z)
-    m = z > 0
-    with np.errstate(over="ignore"):
-        t = z[m] ** c
-        u = -np.expm1(-t)
-        out[m] = a * c / scale * u ** (a - 1.0) * np.exp(-t) * z[m] ** (c - 1.0)
-    return np.nan_to_num(out, nan=0.0, posinf=np.inf)
+    return np.nan_to_num(np.exp(_expweib_logpdf(x, shapes, loc, scale)), nan=0.0, posinf=np.inf)
 
 
 def _expweib_cdf(x, shapes, loc, scale):
-    a, c = shapes
-    if _expweib_in_tail(x, c, loc, scale):
-        return np.exp(_expweib_logcdf(x, shapes, loc, scale))
-    z = _z(x, loc, scale)
-    out = np.zeros_like(z)
-    m = z > 0
-    with np.errstate(over="ignore"):
-        t = z[m] ** c
-        out[m] = (-np.expm1(-t)) ** a
-    return out
+    return np.exp(_expweib_logcdf(x, shapes, loc, scale))
 
 
-_PDFS = {
-    DistFamily.NORMAL: _normal_pdf,
-    DistFamily.LOG_NORMAL: _lognormal_pdf,
-    DistFamily.EXPONENTIAL: _exponential_pdf,
-    DistFamily.PARETO: _pareto_pdf,
-    DistFamily.GIBRAT: _gibrat_pdf,
-    DistFamily.POWER_LAW: _powerlaw_pdf,
-    DistFamily.EXPONENTIATED_WEIBULL: _expweib_pdf,
-}
+def _gibrat(f):
+    """A lognormal pdf or CDF with the shape pinned at s = 1."""
+    return lambda x, _shapes, loc, scale: f(x, (1.0,), loc, scale)
 
-_CDFS = {
-    DistFamily.NORMAL: _normal_cdf,
-    DistFamily.LOG_NORMAL: _lognormal_cdf,
-    DistFamily.EXPONENTIAL: _exponential_cdf,
-    DistFamily.PARETO: _pareto_cdf,
-    DistFamily.GIBRAT: _gibrat_cdf,
-    DistFamily.POWER_LAW: _powerlaw_cdf,
-    DistFamily.EXPONENTIATED_WEIBULL: _expweib_cdf,
+
+# family -> (pdf, cdf), each called as f(x, shape_params, loc, scale)
+_DENSITIES = {
+    DistFamily.NORMAL: (_normal_pdf, _normal_cdf),
+    DistFamily.LOG_NORMAL: (_lognormal_pdf, _lognormal_cdf),
+    DistFamily.EXPONENTIAL: (_exponential_pdf, _exponential_cdf),
+    DistFamily.PARETO: (_pareto_pdf, _pareto_cdf),
+    DistFamily.GIBRAT: (_gibrat(_lognormal_pdf), _gibrat(_lognormal_cdf)),
+    DistFamily.POWER_LAW: (_powerlaw_pdf, _powerlaw_cdf),
+    DistFamily.EXPONENTIATED_WEIBULL: (_expweib_pdf, _expweib_cdf),
 }
 
 
@@ -532,15 +458,26 @@ def _check_samples(samples) -> np.ndarray:
     return x
 
 
+def _fit(family: DistFamily, x: np.ndarray):
+    """The family's (fit, reason); InvalidFit if a parameter is not finite or the scale is not positive."""
+    fit, reason = _FITTERS[family](x)
+    params = fit.params_list()
+    if not (np.isfinite(params).all() and fit.scale > 0.0):
+        raise InvalidFit(f"{family.value} fit has a non-finite parameter or a scale <= 0: {params}")
+    return fit, reason
+
+
 def fit_mle(family: DistFamily, samples) -> FittedDistribution:
     """Fit one family by maximum likelihood.
 
     Raises InsufficientData / DegenerateData / NonFiniteValues on bad input,
-    and NonConvergence (carrying the fit found) if the simplex search hits its
-    cap or the likelihood's supremum lies on a boundary of the parameter space.
+    InvalidFit if the samples' magnitudes leave a parameter non-finite or the
+    scale at 0, and NonConvergence (carrying the fit found) if the simplex
+    search hits its cap or the likelihood's supremum lies on a boundary of the
+    parameter space.
     """
     x = _check_samples(samples)
-    fit, reason = _FITTERS[family](x)
+    fit, reason = _fit(family, x)
     if reason is not None:
         raise NonConvergence(f"{family.value} fit did not converge: {reason}", fit=fit)
     return fit
@@ -598,20 +535,22 @@ def _kolmogorov_q(lam: float) -> float:
 
 def best_fit(samples) -> FitReport:
     """Fit all seven families, KS-score each, and pick the converged fit with
-    the smallest D (ties: fewer parameters, then family name)."""
+    the smallest D (ties: fewer parameters, then family name). A family whose
+    fit raises, or is an InvalidFit, goes to `failed`."""
     x = _check_samples(samples)
     x_sorted = np.sort(x)
     per_family = {}
     failed = {}
     for family in ALL_FAMILIES:
         try:
-            fit, reason = _FITTERS[family](x)
-        except (ValueError, FloatingPointError, OverflowError, ZeroDivisionError) as exc:
+            fit, reason = _fit(family, x)
+            ks = _ks_sorted(fit, x_sorted)
+            if not math.isfinite(ks.statistic_d):
+                raise InvalidFit(f"{family.value} fit has a non-finite KS statistic: {fit.params_list()}")
+        except (InvalidFit, ValueError, FloatingPointError, OverflowError, ZeroDivisionError) as exc:
             failed[family] = str(exc)
             continue
-        per_family[family] = FamilyFit(
-            dist=fit, ks=_ks_sorted(fit, x_sorted), converged=reason is None, reason=reason
-        )
+        per_family[family] = FamilyFit(dist=fit, ks=ks, converged=reason is None, reason=reason)
 
     converged = [(ff.ks.statistic_d, ff.dist.param_count, fam.value, fam) for fam, ff in per_family.items() if ff.converged]
     if not converged:

@@ -59,6 +59,11 @@ class NonConvergence(SoundnetError):
         self.fit = fit
 
 
+class InvalidFit(SoundnetError):
+    """A fit with a non-finite parameter, a scale <= 0 or a non-finite KS statistic:
+    the samples' magnitudes overflow or underflow the family's arithmetic."""
+
+
 class AllFitsFailed(SoundnetError):
     """Every candidate family errored or failed to converge."""
 

@@ -14,7 +14,7 @@ from soundnet.corpus import (
     spearman,
     summary_csv,
 )
-from soundnet.errors import DegenerateInput
+from soundnet.errors import DegenerateInput, NonFiniteValues
 from soundnet.network import PitchGrid, SoundNetwork, build_network, grid_bin
 from soundnet.selftest import spearman_rank_formula
 
@@ -95,6 +95,14 @@ def test_spearman_degenerate():
         spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(DegenerateInput):
         spearman([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spearman_rejects_non_finite_values(bad):
+    with pytest.raises(NonFiniteValues):
+        spearman([bad, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(NonFiniteValues):
+        spearman([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 4.0])
 
 
 # --- correlation matrix ------------------------------------------------------------

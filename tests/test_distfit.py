@@ -7,7 +7,7 @@ from scipy import integrate, stats
 
 from soundnet import distfit
 from soundnet.distfit import ALL_FAMILIES, DistFamily, FittedDistribution
-from soundnet.errors import DegenerateData, InsufficientData, NonConvergence, NonFiniteValues
+from soundnet.errors import AllFitsFailed, DegenerateData, InsufficientData, InvalidFit, NonConvergence, NonFiniteValues
 
 
 def repeat(values, times=7):
@@ -341,3 +341,27 @@ def test_non_finite_samples_rejected(bad):
         distfit.best_fit(x)
     with pytest.raises(NonFiniteValues):
         distfit.fit_mle(DistFamily.NORMAL, x)
+
+
+# samples whose magnitudes overflow or underflow the normal fit's mean and variance
+EXTREME_SAMPLES = {
+    "overflow, both signs": [1e308] * 10 + [-1e308] * 15,
+    "overflow": np.linspace(1e307, 1.7e308, 30),
+    "subnormal": np.linspace(1e-310, 2e-310, 30),
+}
+
+
+@pytest.mark.parametrize("name", EXTREME_SAMPLES)
+def test_fit_with_a_non_finite_parameter_or_zero_scale_fails(name):
+    x = EXTREME_SAMPLES[name]
+    with pytest.raises(InvalidFit, match="normal fit"):
+        distfit.fit_mle(DistFamily.NORMAL, x)
+    try:
+        report = distfit.best_fit(x)
+    except AllFitsFailed:
+        assert name == "overflow, both signs"
+        return
+    assert DistFamily.NORMAL in report.failed
+    for ff in report.per_family.values():
+        assert np.isfinite(ff.dist.params_list()).all() and ff.dist.scale > 0.0
+        assert 0.0 <= ff.ks.statistic_d <= 1.0

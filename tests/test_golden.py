@@ -57,23 +57,23 @@ GOLDEN_CORPUS_STFT = {
     "a_pcm16.json": "dbb86280d1a7bf298a525021603e0f12d0a65e013fe70e6cd8cbdcc363f4dd7f",
     "a_pcm16.network.svg": "84f16b750c855ca246197731e5a2e95f1f8938d451a757ff67132fc9ca6711a5",
     "b_pcm24_stereo.fit.svg": "24b2ddcf9a99c19023a588446e81b4b03fe6e08fa2d7903f0bd327645ffa370a",
-    "b_pcm24_stereo.json": "9258d9835d07d5065b43edb650cb7748e07fc468e891c196e9c4dd787b6cfc50",
+    "b_pcm24_stereo.json": "b109c38cabb5496bbc238899531386e9c0178fe31ff4b5091078525a1c8a7486",
     "b_pcm24_stereo.network.svg": "bd7867780c338ab3db3d61c785e1217eb5592cc37de5d9102313810adc3c2bbb",
     "c_float32.fit.svg": "039cb03960705348ba4312fa7f164d99f0e2179fd0579f63c9ef7a09c74a1a32",
     "c_float32.json": "528833ebebc40ea3322fac0a7abe98e05821aeeded1e550ec24f88ae97605756",
     "c_float32.network.svg": "b04d42fcba7bd8fa6fc431fe08954faf69e32aaade231844ea3337eb90170092",
     "corpus.cliques.svg": "5f5a1565eed7d52812c30b176f09f4551358bd65de2a452fbb0d57d7f5767710",
     "corpus.heatmap.svg": "8cb82065c42a636b2cf16d6b6f45c7cf052f851333454ce9dc4efd28f179220b",
-    "corpus.json": "980ac50997feac7677d9bcd56b061c57fd713d8bd6c82809bd86b7b4e13a1220",
+    "corpus.json": "026e91bea80a2c712549970d28d3c80b9dc1ee524a532f9e34669a45ea2ace65",
     "corpus.matrix.csv": "991c18df2518cd67a6021c8eed5e1973f1723460a25f67b436df9bacd6dc40e7",
-    "corpus.summary.csv": "dea6ef7551f171743bd988433da6c5e70cfbc73609e3d1bab4f9d987546600a0",
+    "corpus.summary.csv": "f3ccdc12ff33bb8a4f32349cb55ddd1d76c93a1d1daf9e902ecb88bf4d1ffe95",
 }
 GOLDEN_CORPUS_FULL = {
     "a_pcm16.fit.svg": "bc3bd486242a589c5ba5f5f0df46dd58aefb90e14b1324ea0d4863b33509bcda",
     "a_pcm16.json": "feef1866d4f4aeff3edd94193916b88580dc9f3508c922590fd93d518ac373c4",
     "a_pcm16.network.svg": "e6820fa9dfbe997873cc05a3c19db626f97b48123729f6d9ea0cb3aa73e2dced",
     "b_pcm24_stereo.fit.svg": "032a086b31a4af8fa5d025f77059722ca1135579db34a1e63953595c5e63ae01",
-    "b_pcm24_stereo.json": "cf5455faedbb712570ac6881becb70f488eec0bf970cd51e19d69ec82f595b8b",
+    "b_pcm24_stereo.json": "b3c18cd6d49bab5838ce2b9e13ed762796d53aa6eec7c545596648276ccc0af6",
     "b_pcm24_stereo.network.svg": "c31c3a4414d45ba9784da7766d61079751ead44b61314baa4c2f0cca2e54cda5",
     "c_float32.fit.svg": "3de5c9f1c85495154205d7e3424f6888b6072e2e8fba3ebf57fcbf812186b550",
     "c_float32.json": "b998f3f9815a77cb1fb4ece4a8acab9bd10c46f2a8cd6eb091c9799b93705cb0",
@@ -86,7 +86,7 @@ GOLDEN_CORPUS_FULL = {
 }
 GOLDEN_ANALYZE = {
     "b_pcm24_stereo.fit.svg": "24b2ddcf9a99c19023a588446e81b4b03fe6e08fa2d7903f0bd327645ffa370a",
-    "b_pcm24_stereo.json": "3222ef6d3c16c86263c7a4ebdb3e39d36d2b3119234f86463f0b5b2d3c5586fc",
+    "b_pcm24_stereo.json": "7e628f5b29691c53d85ff85b1e0a1f7ce771cbacfe0b81bd8b7f6810b85f25b5",
     "b_pcm24_stereo.network.svg": "bd7867780c338ab3db3d61c785e1217eb5592cc37de5d9102313810adc3c2bbb",
 }
 

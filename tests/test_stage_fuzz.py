@@ -1,11 +1,12 @@
 """Property tests of `build_network` and `best_fit` on their own.
 
 Random frequency sequences go straight into both functions, without audio:
-empty, constant, tied, heavy-tailed and out-of-grid sequences, with an
-occasional non-positive, NaN or infinite value. Each call must either return
-a result that holds its invariants or raise a typed `SoundnetError`; a
-sequence holding NaN or an infinite value must always raise. Any other
-exception is a bug.
+empty, constant, tied, heavy-tailed and out-of-grid sequences, sequences of
+magnitudes near the float64 overflow or in the subnormals, with an occasional
+non-positive, NaN or infinite value. Each call must either return a result
+that holds its invariants or raise a typed `SoundnetError`; a sequence
+holding NaN or an infinite value must always raise. Any other exception is a
+bug.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ GRID = PitchGrid()
 @st.composite
 def sequences(draw):
     """A frequency sequence of one of the shapes above, now and then with one bad value."""
-    kind = draw(st.sampled_from(["empty", "constant", "tied", "heavy", "out_of_grid"]))
+    kind = draw(st.sampled_from(["empty", "constant", "tied", "heavy", "out_of_grid", "extreme"]))
     n = draw(st.integers(1, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "empty":
@@ -35,6 +36,10 @@ def sequences(draw):
     elif kind == "heavy":
         tail = draw(st.floats(0.2, 3.0))
         values = draw(st.floats(1.0, 1e4)) * (1.0 + rng.pareto(tail, size=n))
+    elif kind == "extreme":  # near the float64 overflow or in the subnormals, of one or both signs
+        values = draw(st.sampled_from([1e307, 1e-310])) * rng.uniform(1.0, 17.0, n)
+        if draw(st.booleans()):
+            values *= rng.choice([-1.0, 1.0], n)
     else:  # a mix of bins below C0, inside the grid and at or above C9
         low, high = GRID.low_hz, GRID.high_hz
         pools = [rng.uniform(1e-3, low, n), rng.uniform(low, high, n), rng.uniform(high, 1e6, n)]
@@ -70,7 +75,8 @@ def test_best_fit_returns_a_report_or_a_typed_error(values):
         return
     assert np.isfinite(values).all()
     assert report.sample_n == values.size
-    best = report.per_family[report.best]
-    assert best.converged
-    assert 0.0 <= best.ks.statistic_d <= 1.0
+    assert report.per_family[report.best].converged
+    for ff in report.per_family.values():
+        assert np.isfinite(ff.dist.params_list()).all() and ff.dist.scale > 0.0
+        assert 0.0 <= ff.ks.statistic_d <= 1.0
     assert set(report.per_family).isdisjoint(report.failed)
