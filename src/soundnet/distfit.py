@@ -2,19 +2,25 @@
 
 Every family is expressed in loc-scale form (z = (x - loc) / scale) so fitted
 parameters read as the usual (loc, scale) pair, with any shape parameters in
-front. Closed-form estimators are used wherever the likelihood admits them;
-the Gibrat and exponentiated-Weibull fits run a simplex direct search over
-the parameters left once the one with a closed-form conditional MLE (the
-Gibrat scale, the exponentiated-Weibull shape a) is profiled out.
+front. Closed-form estimators are used wherever the likelihood admits them.
+The Gibrat and exponentiated-Weibull fits profile out the parameter with a
+closed-form conditional MLE (the Gibrat scale, the exponentiated-Weibull
+shape a) and search over the rest.
 
 Gibrat here means a lognormal with the shape pinned at 1, i.e. density
-exp(-(log z)^2 / 2) / (z * sqrt(2*pi)) on z > 0.
+exp(-(log z)^2 / 2) / (z * sqrt(2*pi)) on z > 0. Its profile likelihood has
+one parameter, loc < min(x), and the score and its derivative have closed
+forms, so the fit is a safeguarded Newton root search on the score (bisecting
+whenever a Newton step would leave the bracket). A search that finds no root,
+as on samples tied at the minimum whose optimum lies closer to min(x) than a
+float can resolve, reports its last point with `converged` false.
 
-The exponentiated-Weibull likelihood need not have an interior maximum. On
-broadband noise its supremum lies on the boundary c -> inf, a -> 0 with a*c
-fixed, where (1 - exp(-z^c))^a tends to the power law z^(a*c); on some small
-or multimodal samples it lies at a -> inf, c -> 0, where the family tends to
-a Frechet law (Cheng & Amin 1983 study such unbounded likelihoods). The
+The exponentiated-Weibull fit runs a Nelder-Mead simplex over (log c, log
+scale). Its likelihood need not have an interior maximum. On broadband noise
+its supremum lies on the boundary c -> inf, a -> 0 with a*c fixed, where
+(1 - exp(-z^c))^a tends to the power law z^(a*c); on some small or
+multimodal samples it lies at a -> inf, c -> 0, where the family tends to a
+Frechet law (Cheng & Amin 1983 study such unbounded likelihoods). The
 search therefore runs inside documented bounds, c <= EXPWEIB_MAX_C = 1e3 and
 a <= EXPWEIB_MAX_A = 1e5, two orders of magnitude above any shape an interior
 fit on melodies reaches, and the first objective call past either bound ends
@@ -30,6 +36,11 @@ underflows, so wherever w = c log(x/scale) < -30 the term log(1 - exp(-t))
 is taken as its asymptote w - t/2 (Maechler 2012, "Accurately computing
 log(1 - exp(-|a|))"). The density and CDF are exp of the log density and log
 CDF everywhere, so they stay positive where t underflows.
+
+The KS statistic evaluates each CDF at every _KS_BLOCK-th sorted sample
+first and then only inside the blocks whose monotonicity bound can reach the
+largest deviation (_ks_d_blocked); D is the same float as with the CDF
+evaluated at every sample.
 """
 
 from __future__ import annotations
@@ -54,10 +65,18 @@ BOUNDARY_C = "likelihood supremum at c → ∞ (power-law limit)"
 BOUNDARY_A = "likelihood supremum at a → ∞, c → 0 (Fréchet limit)"
 OUT_OF_BOUNDS = "search left the shape bounds without a supremum on their boundary"
 SIMPLEX_CAP = "simplex search hit its iteration cap"
+ROOT_SEARCH_FAILED = "Gibrat location search found no root of the profile score"
 _RAY_FACTORS = (10.0, 100.0)
 # below w = log t = -30, log(1 - exp(-t)) equals w - t/2 to double precision
 _TAIL_W = -30.0
 _EXP_MIN = -700.0
+# The Gibrat location search (_fit_gibrat) ends at a root once the Newton step
+# or the bracket is shorter than _ROOT_TOL in v, and fails after _ROOT_MAX_EVALS
+# score evaluations or past |v| = _ROOT_MAX_V. Every golden and benchmark
+# sample ends within 11 evaluations.
+_ROOT_TOL = 1e-9
+_ROOT_MAX_EVALS = 60
+_ROOT_MAX_V = 700.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -120,7 +139,8 @@ class KsResult:
 class FamilyFit:
     """One family's fit and KS score; `reason` says why an unconverged fit is
     not an interior optimum (a supremum on a boundary of the parameter space,
-    a search that left its bounds, or the simplex iteration cap)."""
+    a search that left its bounds, the simplex iteration cap, or a Gibrat
+    location search that found no root)."""
 
     dist: FittedDistribution
     ks: KsResult
@@ -308,26 +328,79 @@ def _fit_powerlaw(x):
     return FittedDistribution(DistFamily.POWER_LAW, (a,), 0.0, scale), None
 
 
+def _gibrat_score(x, lo, spread, v):
+    """(dL/dv, d2L/dv2, loc, scale) of the Gibrat profile negative log-likelihood
+    L at loc = lo - spread * exp(v), with the scale at its MLE there.
+
+    With d = x - loc, r = spread / d and lz = log d - mean(log d),
+    dL/dloc = -sum(r (1 + lz)) / spread and
+    d2L/dloc2 = -(sum(r^2 lz) + sum(r)^2 / n) / spread^2; r is taken relative
+    to `spread` so that it stays finite on subnormal samples.
+    """
+    t = math.exp(v)
+    loc = lo - spread * t
+    d = x - loc
+    lxl = np.log(d)
+    log_scale = float(np.mean(lxl))
+    lz = lxl - log_scale
+    r = spread / d
+    s1 = float(np.dot(r, 1.0 + lz))
+    sr = float(np.sum(r))
+    s2 = float(np.dot(r * r, lz))
+    return t * s1, t * s1 - t * t * (s2 + sr * sr / x.size), loc, math.exp(log_scale)
+
+
 def _fit_gibrat(x):
-    # for a fixed loc the scale's MLE is the geometric mean of x - loc, so the
-    # simplex searches loc < min(x) alone
-    n = x.size
-    lo, hi = float(x.min()), float(x.max())
+    # For a fixed loc the scale's MLE is the geometric mean of x - loc. The
+    # profile L(loc) goes to +inf as loc -> min(x) and as loc -> -inf, so its
+    # score changes sign around a minimum: bracket that root in
+    # v = log((min(x) - loc) / (max(x) - min(x))), then close in on it with
+    # Newton steps, bisecting whenever one would leave the bracket.
+    lo = float(x.min())
+    spread = float(x.max()) - lo
+    v = math.log(0.1)  # the start, loc = lo - 0.1 (max - min)
+    g, h, loc, scale = _gibrat_score(x, lo, spread, v)
 
-    def profile(params):
-        """(negative log-likelihood, scale) at loc = params[0] with the scale at its MLE."""
-        (loc,) = params
-        if lo <= loc:
-            return np.inf, np.nan
-        lxl = np.log(x - loc)
-        log_scale = float(np.mean(lxl))
-        lz = lxl - log_scale
-        value = n * log_scale + np.sum(lz + 0.5 * lz * lz) + n * 0.5 * math.log(2.0 * math.pi)
-        return (value if np.isfinite(value) else np.inf), math.exp(log_scale)
+    def fit(reason=None):
+        return FittedDistribution(DistFamily.GIBRAT, (), float(loc), float(scale)), reason
 
-    result = nelder_mead(lambda params: profile(params)[0], np.array([lo - 0.1 * (hi - lo)]))
-    (loc,) = result.x
-    return FittedDistribution(DistFamily.GIBRAT, (), float(loc), profile(result.x)[1]), _cap_reason(result)
+    if not math.isfinite(g):
+        return fit(ROOT_SEARCH_FAILED)
+    evals = 1
+    below = above = None  # the nearest points either side of the root, score < 0 and > 0
+    edge = False  # `below` is where loc rounds to min(x) and the profile is +inf
+    step = -1.0 if g > 0.0 else 1.0
+    while True:
+        if g < 0.0:
+            below, edge = v, False
+        elif g > 0.0:
+            above = v
+        else:
+            break
+        if below is None or above is None:  # step away from the start, doubling the step
+            nxt = v + step
+            step *= 2.0
+            if abs(nxt) > _ROOT_MAX_V:
+                return fit(ROOT_SEARCH_FAILED)
+        else:
+            newton = v - g / h if h > 0.0 else math.nan
+            if abs(newton - v) <= _ROOT_TOL:
+                break
+            if above - below <= _ROOT_TOL:
+                # a bracket closed on the point where loc reaches min(x) holds no root
+                return fit(ROOT_SEARCH_FAILED if edge else None)
+            nxt = newton if below < newton < above else 0.5 * (below + above)
+        if evals >= _ROOT_MAX_EVALS:
+            return fit(ROOT_SEARCH_FAILED)
+        evals += 1
+        at_nxt = _gibrat_score(x, lo, spread, nxt)
+        if math.isfinite(at_nxt[0]):
+            v, (g, h, loc, scale) = nxt, at_nxt
+        elif nxt < v:
+            below, edge = nxt, True
+        else:
+            return fit(ROOT_SEARCH_FAILED)
+    return fit()
 
 
 def _cap_reason(result):
@@ -460,7 +533,8 @@ def _check_samples(samples) -> np.ndarray:
 
 def _fit(family: DistFamily, x: np.ndarray):
     """The family's (fit, reason); InvalidFit if a parameter is not finite or the scale is not positive."""
-    fit, reason = _FITTERS[family](x)
+    with np.errstate(all="ignore"):  # magnitudes near the float64 limits; the checks below judge the result
+        fit, reason = _FITTERS[family](x)
     params = fit.params_list()
     if not (np.isfinite(params).all() and fit.scale > 0.0):
         raise InvalidFit(f"{family.value} fit has a non-finite parameter or a scale <= 0: {params}")
@@ -473,8 +547,8 @@ def fit_mle(family: DistFamily, samples) -> FittedDistribution:
     Raises InsufficientData / DegenerateData / NonFiniteValues on bad input,
     InvalidFit if the samples' magnitudes leave a parameter non-finite or the
     scale at 0, and NonConvergence (carrying the fit found) if the simplex
-    search hits its cap or the likelihood's supremum lies on a boundary of the
-    parameter space.
+    search hits its cap, the Gibrat root search finds no root, or the
+    likelihood's supremum lies on a boundary of the parameter space.
     """
     x = _check_samples(samples)
     fit, reason = _fit(family, x)
@@ -498,11 +572,48 @@ def ks_test(fit: FittedDistribution, samples) -> KsResult:
 def _ks_sorted(fit: FittedDistribution, x: np.ndarray) -> KsResult:
     """ks_test on a sample that is already sorted ascending."""
     n = x.size
-    f = fit.cdf(x)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    d = float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
+    d = _ks_d_blocked(fit.cdf, x)
+    if d is None:
+        d = _ks_d(fit.cdf(x), np.arange(n, dtype=np.float64), n)
     lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
     return KsResult(statistic_d=d, p_value=_kolmogorov_q(lam), n=n)
+
+
+def _ks_d(f, j, n) -> float:
+    """max((j + 1)/n - f, f - j/n): the KS deviations at 0-based sorted ranks j."""
+    return float(max(np.max((j + 1.0) / n - f), np.max(f - j / n)))
+
+
+# _ks_d_blocked evaluates the CDF at every _KS_BLOCK-th sorted sample first.
+# _KS_SLACK covers a computed CDF that falls by a few ulps where the true one
+# rises, so a block skipped on its bound cannot hold the maximum.
+_KS_BLOCK = 64
+_KS_SLACK = 1e-12
+
+
+def _ks_d_blocked(cdf, x):
+    """The KS statistic D of the sorted sample x, with the CDF evaluated only
+    where the maximum can be; None if the CDF values at the block ends are not
+    finite and non-decreasing.
+
+    With F non-decreasing, every rank j strictly inside the block [j0, j1] has
+    (j + 1)/n - F(x_j) <= j1/n - F(x_j0) and F(x_j) - j/n <= F(x_j1) - (j0 + 1)/n.
+    Blocks whose bound falls short of the largest deviation at the block ends
+    are skipped; D is the maximum over the exactly evaluated ranks, the same
+    float as the dense formula gives.
+    """
+    n = x.size
+    ends = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)
+    f_ends = cdf(x[ends])
+    if not (np.isfinite(f_ends).all() and (np.diff(f_ends) >= 0.0).all()):
+        return None
+    j_ends = ends.astype(np.float64)
+    d = _ks_d(f_ends, j_ends, n)
+    bound = np.maximum(j_ends[1:] / n - f_ends[:-1], f_ends[1:] - (j_ends[:-1] + 1.0) / n)
+    starts = ends[:-1][bound >= d - _KS_SLACK]
+    j = (starts[:, None] + np.arange(1, _KS_BLOCK)).ravel()
+    j = j[j < n - 1]
+    return max(d, _ks_d(cdf(x[j]), j.astype(np.float64), n)) if j.size else d
 
 
 # The switch point of Numerical Recipes' KSdist: below it the four-term theta

@@ -5,11 +5,13 @@ struct, independent of the package's writer, so decode tests check the parser
 against the format spec rather than against itself.
 """
 
+import math
 import struct
 
 import numpy as np
 import pytest
 
+from soundnet import distfit
 from soundnet.audio_io import AudioBuffer
 
 
@@ -47,6 +49,16 @@ def sine(freq_hz, seconds, rate, amplitude=0.5):
 
 def tone_buffer(freq_hz, seconds, rate, amplitude=0.5):
     return AudioBuffer(samples=sine(freq_hz, seconds, rate, amplitude), sample_rate_hz=rate)
+
+
+def dense_ks(fit, x_sorted):
+    """The KS result of `fit` on a sorted sample, with the CDF evaluated at every
+    sample: the reference for distfit's blocked KS statistic."""
+    n = x_sorted.size
+    f = fit.cdf(x_sorted)
+    i = np.arange(1, n + 1, dtype=np.float64)
+    d = float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
+    return distfit.KsResult(d, distfit._kolmogorov_q((math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d), n)
 
 
 @pytest.fixture

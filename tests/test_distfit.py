@@ -1,10 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from conftest import dense_ks
 from soundnet import distfit
 from soundnet.distfit import ALL_FAMILIES, DistFamily, FittedDistribution
 from soundnet.errors import AllFitsFailed, DegenerateData, InsufficientData, InvalidFit, NonConvergence, NonFiniteValues
@@ -91,11 +95,30 @@ def test_nonconvergence_carries_partial_fit(monkeypatch):
     monkeypatch.setattr(distfit, "nelder_mead", capped)
     draws = np.random.default_rng(0).lognormal(size=1000)
     with pytest.raises(NonConvergence) as err:
-        distfit.fit_mle(DistFamily.GIBRAT, draws)
+        distfit.fit_mle(DistFamily.EXPONENTIATED_WEIBULL, draws)
     assert err.value.fit is not None
+    assert distfit.SIMPLEX_CAP in str(err.value)
     report = distfit.best_fit(draws)
-    assert not report.per_family[DistFamily.GIBRAT].converged
-    assert report.best not in (DistFamily.GIBRAT, DistFamily.EXPONENTIATED_WEIBULL)
+    ff = report.per_family[DistFamily.EXPONENTIATED_WEIBULL]
+    assert not ff.converged and ff.reason == distfit.SIMPLEX_CAP
+    assert report.best is not DistFamily.EXPONENTIATED_WEIBULL
+
+
+def test_gibrat_root_search_failure_carries_partial_fit(monkeypatch):
+    # two score evaluations are too few to bracket the root and close in on it
+    monkeypatch.setattr(distfit, "_ROOT_MAX_EVALS", 2)
+    draws = np.random.default_rng(0).lognormal(size=1000)
+    with pytest.raises(NonConvergence) as err:
+        distfit.fit_mle(DistFamily.GIBRAT, draws)
+    fit = err.value.fit
+    assert distfit.ROOT_SEARCH_FAILED in str(err.value)
+    assert fit.family is DistFamily.GIBRAT and fit.loc < draws.min() and fit.scale > 0.0
+    assert abs(fit.scale - np.exp(np.mean(np.log(draws - fit.loc)))) <= 1e-12 * fit.scale
+    report = distfit.best_fit(draws)
+    ff = report.per_family[DistFamily.GIBRAT]
+    assert not ff.converged and ff.reason == distfit.ROOT_SEARCH_FAILED
+    assert ff.dist == fit
+    assert report.best is not DistFamily.GIBRAT
 
 
 # --- KS test ---------------------------------------------------------------------
@@ -259,6 +282,79 @@ def test_profiled_gibrat_beats_scipy_fit(seed):
     assert abs(fit.scale - np.exp(np.mean(np.log(x - fit.loc)))) <= 1e-12 * fit.scale
 
 
+def _gibrat_nll(x, loc):
+    """The Gibrat profile negative log-likelihood, with the scale at its MLE for `loc`."""
+    lxl = np.log(x - loc)
+    log_scale = float(np.mean(lxl))
+    lz = lxl - log_scale
+    return x.size * log_scale + float(np.sum(lz + 0.5 * lz * lz)) + x.size * 0.5 * math.log(2.0 * math.pi)
+
+
+@st.composite
+def gibrat_samples(draw):
+    """Seeded lognormal, uniform and noise-like samples: the last are distinct
+    frequencies on the bin grid of a 2^19-point transform at 44.1 kHz."""
+    kind = draw(st.sampled_from(["lognormal", "uniform", "noise"]))
+    n = draw(st.integers(20, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lognormal":
+        return draw(st.floats(0.1, 1e4)) * rng.lognormal(0.0, draw(st.floats(0.2, 2.0)), n) + draw(st.floats(-1e3, 1e3))
+    if kind == "uniform":
+        return rng.uniform(draw(st.floats(-1e3, 1e3)), 1e3 + draw(st.floats(1.0, 1e4)), n)
+    step = 44100.0 / 2**19
+    return np.unique(np.round(rng.uniform(20.0, 22050.0, n) / step)) * step
+
+
+@settings(max_examples=60, deadline=None)
+@given(gibrat_samples())
+def test_gibrat_fit_is_a_stationary_point_no_worse_than_the_simplex(x):
+    from soundnet.simplex import nelder_mead
+
+    fit, reason = distfit._fit_gibrat(x)
+    assert reason is None
+    lo, hi = float(x.min()), float(x.max())
+    ours = _gibrat_nll(x, fit.loc)
+    step = 1e-6 * (lo - fit.loc)
+    assert ours <= _gibrat_nll(x, fit.loc - step)
+    assert ours <= _gibrat_nll(x, fit.loc + step)
+    # the search this fit replaced: a Nelder-Mead simplex over loc from lo - 0.1 (hi - lo)
+    simplex = nelder_mead(lambda p: _gibrat_nll(x, p[0]) if p[0] < lo else np.inf, np.array([lo - 0.1 * (hi - lo)]))
+    assert ours <= simplex.fx + 1e-12 * abs(simplex.fx)
+
+
+B = distfit._KS_BLOCK
+
+
+@st.composite
+def ks_cases(draw):
+    """A sorted sample (often with ties, its size near a multiple of the KS block)
+    and a family fitted to it, moved by `shift` scales so that the largest
+    deviation can sit at the first or the last sample."""
+    n = draw(st.one_of(st.sampled_from([B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1]), st.integers(1, 10 * B)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.lognormal(3.0, draw(st.floats(0.1, 1.5)), n) + draw(st.floats(0.0, 50.0))
+    if draw(st.booleans()):  # ties
+        x = np.round(x / draw(st.floats(0.5, 20.0))) + 1.0
+    family = draw(st.sampled_from(ALL_FAMILIES))
+    try:
+        with np.errstate(all="ignore"):
+            fit = distfit._FITTERS[family](x)[0]
+    except (ValueError, ZeroDivisionError):
+        fit = distfit._FITTERS[DistFamily.NORMAL](x)[0]
+    shift = draw(st.sampled_from([0.0, 0.0, -3.0, 3.0, -50.0, 50.0]))
+    fit = FittedDistribution(fit.family, fit.shape_params, fit.loc + shift * fit.scale, fit.scale)
+    return fit, np.sort(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ks_cases())
+def test_blocked_ks_equals_the_dense_formula(case):
+    fit, x_sorted = case
+    with np.errstate(all="ignore"):
+        got, want = distfit._ks_sorted(fit, x_sorted), dense_ks(fit, x_sorted)
+    assert got == want or (math.isnan(got.statistic_d) and math.isnan(want.statistic_d))
+
+
 # --- best_fit -------------------------------------------------------------------
 
 def test_best_fit_exponential_data(rng):
@@ -365,3 +461,13 @@ def test_fit_with_a_non_finite_parameter_or_zero_scale_fails(name):
     for ff in report.per_family.values():
         assert np.isfinite(ff.dist.params_list()).all() and ff.dist.scale > 0.0
         assert 0.0 <= ff.ks.statistic_d <= 1.0
+
+
+@pytest.mark.parametrize("name", EXTREME_SAMPLES)
+def test_best_fit_on_extreme_samples_emits_no_warning(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            distfit.best_fit(EXTREME_SAMPLES[name])
+        except AllFitsFailed:
+            pass
