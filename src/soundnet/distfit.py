@@ -15,27 +15,30 @@ whenever a Newton step would leave the bracket). A search that finds no root,
 as on samples tied at the minimum whose optimum lies closer to min(x) than a
 float can resolve, reports its last point with `converged` false.
 
-The exponentiated-Weibull fit runs a Nelder-Mead simplex over (log c, log
-scale). Its likelihood need not have an interior maximum. On broadband noise
-its supremum lies on the boundary c -> inf, a -> 0 with a*c fixed, where
-(1 - exp(-z^c))^a tends to the power law z^(a*c); on some small or
-multimodal samples it lies at a -> inf, c -> 0, where the family tends to a
-Frechet law (Cheng & Amin 1983 study such unbounded likelihoods). The
-search therefore runs inside documented bounds, c <= EXPWEIB_MAX_C = 1e3 and
-a <= EXPWEIB_MAX_A = 1e5, two orders of magnitude above any shape an interior
-fit on melodies reaches, and the first objective call past either bound ends
-it. The profile is then evaluated at 10 and 100 times that bound along the
-ray toward the limiting family (_limit_ray). If it still improves at both,
-the supremum is on that boundary: the fit is reported at the best point
-found inside the bounds, with `converged` false and a `reason` naming the
-limit, so it cannot win best_fit. If it does not, the reason says the search
-left the bounds. A search that converges inside the bounds to a point that
-the power-law MLE, the c -> inf limit, matches or beats is reported as a
-power-law boundary fit too. Near the power-law boundary t = (x/scale)^c
-underflows, so wherever w = c log(x/scale) < -30 the term log(1 - exp(-t))
-is taken as its asymptote w - t/2 (Maechler 2012, "Accurately computing
-log(1 - exp(-|a|))"). The density and CDF are exp of the log density and log
-CDF everywhere, so they stay positive where t underflows.
+The exponentiated-Weibull fit is a safeguarded Newton minimisation of the
+profile negative log-likelihood P over (log c, log scale), with closed-form
+gradient and Hessian (_expweib_profile). Each step solves with the Hessian's
+eigenvalues made positive (Nocedal & Wright 2006, section 3.4), is cut to
+length 2 and is halved until P does not increase. A start where P is not
+finite (as where the mean overflows) is an InvalidFit. The likelihood need not
+have an interior maximum. On broadband noise its supremum lies at c -> inf,
+a -> 0 with a*c fixed, where (1 - exp(-z^c))^a tends to the power law
+z^(a*c); on some small or multimodal samples at a -> inf, c -> 0, where the
+family tends to a Frechet law (Cheng & Amin 1983). The search therefore runs
+inside c <= EXPWEIB_MAX_C = 1e3 and a <= EXPWEIB_MAX_A = 1e5, two orders of
+magnitude above any interior fit on melodies. Steps are clipped at the c
+bound; the search stops there if P still falls toward larger c, and when a
+step that lowers P would leave the a bound. The profile is then evaluated at
+10 and 100 times that bound along the ray toward the limiting family
+(_limit_ray). If it still improves at both, the fit is reported at the last
+point inside the bounds with `converged` false and a `reason` naming the
+limit, so it cannot win best_fit; if not, the reason says the search left
+the bounds. A converged point that the power-law MLE, the c -> inf limit,
+matches or beats is reported as a power-law boundary fit too. The term
+log(1 - exp(-t)), t = (x/scale)^c, follows Maechler (2012, "Accurately
+computing log(1 - exp(-|a|))"): log(-expm1(-t)) up to t = log 2,
+log1p(-exp(-t)) above, and the asymptote w - t/2 where w = log t < -30, as t
+underflows. The density and CDF are exp of their logs everywhere.
 
 The KS statistic evaluates each CDF at every _KS_BLOCK-th sorted sample
 first and then only inside the blocks whose monotonicity bound can reach the
@@ -52,7 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllFitsFailed, DegenerateData, InsufficientData, InvalidFit, NonConvergence, NonFiniteValues
-from .simplex import nelder_mead
 
 MIN_SAMPLES = 20
 
@@ -64,12 +66,21 @@ EXPWEIB_MAX_A = 1e5
 BOUNDARY_C = "likelihood supremum at c → ∞ (power-law limit)"
 BOUNDARY_A = "likelihood supremum at a → ∞, c → 0 (Fréchet limit)"
 OUT_OF_BOUNDS = "search left the shape bounds without a supremum on their boundary"
-SIMPLEX_CAP = "simplex search hit its iteration cap"
+EVAL_CAP = "exponentiated-Weibull Newton search hit its evaluation cap"
 ROOT_SEARCH_FAILED = "Gibrat location search found no root of the profile score"
 _RAY_FACTORS = (10.0, 100.0)
+# The exponentiated-Weibull search (_fit_expweib) stops once its next step is
+# shorter than _STEP_TOL in (log c, log scale), and reports EVAL_CAP after
+# _EXPWEIB_MAX_EVALS profile evaluations. A fit on a golden sequence or on any of
+# the benchmark's 96 melodies and 128 noise recordings takes 7-29 of them.
+_STEP_TOL = 1e-10
+_MAX_STEP = 2.0
+_EIG_FLOOR = 1e-8
+_EXPWEIB_MAX_EVALS = 100
 # below w = log t = -30, log(1 - exp(-t)) equals w - t/2 to double precision
 _TAIL_W = -30.0
 _EXP_MIN = -700.0
+_LOG_2 = math.log(2.0)
 # The Gibrat location search (_fit_gibrat) ends at a root once the Newton step
 # or the bracket is shorter than _ROOT_TOL in v, and fails after _ROOT_MAX_EVALS
 # score evaluations or past |v| = _ROOT_MAX_V. Every golden and benchmark
@@ -139,8 +150,8 @@ class KsResult:
 class FamilyFit:
     """One family's fit and KS score; `reason` says why an unconverged fit is
     not an interior optimum (a supremum on a boundary of the parameter space,
-    a search that left its bounds, the simplex iteration cap, or a Gibrat
-    location search that found no root)."""
+    a search that left its bounds, the exponentiated-Weibull search's
+    evaluation cap, or a Gibrat location search that found no root)."""
 
     dist: FittedDistribution
     ks: KsResult
@@ -221,10 +232,18 @@ def _powerlaw_cdf(x, shapes, loc, scale):
     return z**a
 
 
+def _log1mexp(t):
+    """log(1 - exp(-t)), t > 0, by Maechler's branches, each exact on its side of log 2."""
+    log_u = np.log(-np.expm1(-t))
+    big = np.flatnonzero(t > _LOG_2)
+    log_u[big] = np.log1p(-np.exp(-t[big]))
+    return log_u
+
+
 def _exp_log1mexp(w):
     """(t, log(1 - exp(-t))) for t = exp(w).
 
-    Where every w is at least _TAIL_W this is exp(w) and log(-expm1(-t)).
+    Where every w is at least _TAIL_W this is exp(w) and _log1mexp(t).
     Otherwise log(1 - exp(-t)) is the asymptote w - t/2 wherever w < _TAIL_W,
     which stays finite where t underflows, and w is clipped at _EXP_MIN before
     the exponential: below it t only underflows (and numpy's exp leaves its
@@ -234,11 +253,11 @@ def _exp_log1mexp(w):
     with np.errstate(over="ignore", divide="ignore"):
         if not w.size or w.min() >= _TAIL_W:
             t = np.exp(w)
-            return t, np.log(-np.expm1(-t))
+            return t, _log1mexp(t)
         t = np.exp(np.maximum(w, _EXP_MIN))
         log_u = w - 0.5 * t
         head = w >= _TAIL_W
-        log_u[head] = np.log(-np.expm1(-t[head]))
+        log_u[head] = _log1mexp(t[head])
     return t, log_u
 
 
@@ -403,18 +422,6 @@ def _fit_gibrat(x):
     return fit()
 
 
-def _cap_reason(result):
-    return None if result.converged else SIMPLEX_CAP
-
-
-class _OutOfBounds(Exception):
-    """Raised by the exponentiated-Weibull objective at its first point past a shape bound."""
-
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
-
-
 def _limit_ray(reason, params, a, lx, factor):
     """Search coordinates (log c, log scale) on the ray from `params` toward the
     limiting family of the boundary that `reason` names, where the bounded
@@ -441,65 +448,96 @@ def _limit_ray(reason, params, a, lx, factor):
     return np.array([math.log(c_ray), mid - math.log(alpha / c_ray) / c_ray])
 
 
+def _expweib_profile(lx, sum_lx, theta):
+    """(P, a, gradient, Hessian) of the exponentiated-Weibull profile negative
+    log-likelihood P at theta = (log c, log scale), a = -n / sum(L) being the
+    shape's MLE there; P is +inf where it or a derivative is not finite.
+
+    With eta = c (log x - log scale), t = e^eta and L = log(1 - e^-t),
+    -P = n log a + n log c - sum(log x) + sum((a - 1) L - t + eta). Its
+    eta-derivatives at fixed a use g = L' = t / expm1(t) and g' = g (1 - g - t);
+    the profile Hessian adds (a^2 / n) v v^T, v = (sum(g eta), -c sum(g)).
+    """
+    n = lx.size
+    c, q = math.exp(theta[0]), float(theta[1])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        eta = c * (lx - q)
+        t, log_u = _exp_log1mexp(eta)
+        sum_log_u = float(np.sum(log_u))
+        if not -np.inf < sum_log_u < 0.0:
+            return math.inf, math.nan, None, None
+        a = -n / sum_log_u
+        ll = n * (math.log(a) + math.log(c) - q) + (a - 1.0) * sum_log_u - float(np.sum(t)) + (c - 1.0) * (sum_lx - n * q)
+        g = t / np.expm1(t)
+        d1 = (a - 1.0) * g - t + 1.0
+        d2 = (a - 1.0) * (g * (1.0 - g - t)) - t
+        s1, s1e = float(np.sum(d1)), float(np.dot(d1, eta))
+        d2e = d2 * eta
+        s2, s2e, s2ee = float(np.sum(d2)), float(np.sum(d2e)), float(np.dot(d2e, eta))
+        v = np.array([float(np.dot(g, eta)), -c * float(np.sum(g))])
+        grad = np.array([-(n + s1e), c * s1])
+        hess = -np.array([[s2ee + s1e, -c * (s2e + s1)], [-c * (s2e + s1), c * c * s2]]) - (a * a / n) * np.outer(v, v)
+    if not (math.isfinite(ll) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+        return math.inf, a, None, None
+    return -ll, a, grad, hess
+
+
+def _newton_step(grad, hess):
+    """The modified Newton step -H^-1 grad, with the Hessian's eigenvalues
+    replaced by their absolute values floored at _EIG_FLOOR times the largest
+    (Nocedal & Wright 2006, section 3.4), cut to length _MAX_STEP."""
+    w, v = np.linalg.eigh(hess)
+    w = np.abs(w)
+    step = -v @ ((v.T @ grad) / np.maximum(w, _EIG_FLOOR * w.max()))
+    length = math.hypot(*step)
+    return step * (_MAX_STEP / length) if length > _MAX_STEP else step
+
+
 def _fit_expweib(x):
     # for a fixed (c, scale) the MLE of the shape a is -n / sum(log(1 - exp(-z^c))),
-    # so the simplex searches (log c, log scale) alone
+    # so the search is over theta = (log c, log scale) alone
     _require_positive(x, DistFamily.EXPONENTIATED_WEIBULL)
-    n = x.size
     mean, std = float(x.mean()), float(x.std())
-    cv = std / mean
-    c0 = min(max(cv**-1.086, 0.1), 20.0)
+    c0 = min(max((std / mean) ** -1.086, 0.1), 20.0)
     scale0 = mean / math.gamma(1.0 + 1.0 / c0)
-
     lx = np.log(x)
     sum_lx = float(np.sum(lx))
+    p_max = math.log(EXPWEIB_MAX_C)
+    theta = np.array([min(math.log(c0), p_max), math.log(scale0)])
+    value, a, grad, hess = _expweib_profile(lx, sum_lx, theta)
+    if not math.isfinite(value):  # as where the mean overflows and the start is NaN
+        raise InvalidFit(f"exponentiated_weibull profile is not finite at its start (c {c0}, scale {scale0})")
 
-    def profile(params):
-        """(negative log-likelihood, a) at (c, scale) = exp(params) with a at its MLE."""
-        c, log_scale = math.exp(params[0]), float(params[1])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            t, log_u = _exp_log1mexp(c * (lx - log_scale))
-            sum_log_u = float(np.sum(log_u))
-            if not -np.inf < sum_log_u < 0.0:
-                return np.inf, np.nan
-            a = -n / sum_log_u
-            ll = (
-                n * (math.log(a) + math.log(c) - log_scale)
-                + (a - 1.0) * sum_log_u
-                - np.sum(t)
-                + (c - 1.0) * (sum_lx - n * log_scale)
-            )
-        return (-ll if np.isfinite(ll) else np.inf), a
-
-    def fit_at(params, a, reason):
-        c, scale = np.exp(params)
+    def fit_at(reason):
+        c, scale = np.exp(theta)
         return FittedDistribution(DistFamily.EXPONENTIATED_WEIBULL, (float(a), float(c)), 0.0, float(scale)), reason
 
-    x0 = np.array([math.log(c0), math.log(scale0)])
-    inside = [np.inf, x0]  # the best value and point seen inside the bounds
+    def confirm(reason):
+        # the search stopped at a bound: does the profile keep improving toward the limit?
+        ray = [_expweib_profile(lx, sum_lx, _limit_ray(reason, theta, a, lx, f))[0] for f in _RAY_FACTORS]
+        return fit_at(reason if value > ray[0] > ray[1] else OUT_OF_BOUNDS)
 
-    def bounded(params):
-        if math.exp(params[0]) > EXPWEIB_MAX_C:
-            raise _OutOfBounds(BOUNDARY_C)
-        value, a = profile(params)
-        if a > EXPWEIB_MAX_A:
-            raise _OutOfBounds(BOUNDARY_A)
-        if value < inside[0]:
-            inside[:] = value, params.copy()
-        return value
-
-    try:
-        result = nelder_mead(bounded, x0)
-    except _OutOfBounds as stop:
-        value, a = profile(inside[1])
-        ray = [profile(_limit_ray(stop.reason, inside[1], a, lx, f))[0] for f in _RAY_FACTORS]
-        return fit_at(inside[1], a, stop.reason if value > ray[0] > ray[1] else OUT_OF_BOUNDS)
-    a = profile(result.x)[1]
-    if result.converged and result.fx >= _powerlaw_limit_nll(n, sum_lx, float(lx.max())):
-        # the power law is the c -> inf limit of the family, so a point it beats
-        # is not the supremum: the search stopped on the ridge toward it
-        return fit_at(result.x, a, BOUNDARY_C)
-    return fit_at(result.x, a, _cap_reason(result))
+    evals = 1
+    while not (theta[0] >= p_max and grad[0] < 0.0):  # stop on the c bound if P still falls toward c -> inf
+        step = _newton_step(grad, hess)
+        while True:  # backtrack until P does not increase; c stays inside its bound
+            trial = theta + step
+            trial[0] = min(trial[0], p_max)
+            if math.hypot(*(trial - theta)) < _STEP_TOL:
+                # the power law is the c -> inf limit of the family, so a point it
+                # beats is not the supremum: the search stopped on the ridge toward it
+                return fit_at(BOUNDARY_C if value >= _powerlaw_limit_nll(x.size, sum_lx, float(lx.max())) else None)
+            if evals >= _EXPWEIB_MAX_EVALS:
+                return fit_at(EVAL_CAP)
+            evals += 1
+            at_trial = _expweib_profile(lx, sum_lx, trial)
+            if at_trial[0] <= value:
+                break
+            step *= 0.5
+        if at_trial[1] > EXPWEIB_MAX_A:  # the descent leaves the a bound
+            return confirm(BOUNDARY_A)
+        theta, (value, a, grad, hess) = trial, at_trial
+    return confirm(BOUNDARY_C)
 
 
 def _powerlaw_limit_nll(n, sum_lx, log_top):
@@ -546,9 +584,9 @@ def fit_mle(family: DistFamily, samples) -> FittedDistribution:
 
     Raises InsufficientData / DegenerateData / NonFiniteValues on bad input,
     InvalidFit if the samples' magnitudes leave a parameter non-finite or the
-    scale at 0, and NonConvergence (carrying the fit found) if the simplex
-    search hits its cap, the Gibrat root search finds no root, or the
-    likelihood's supremum lies on a boundary of the parameter space.
+    scale at 0, and NonConvergence (carrying the fit found) if a search hits
+    its evaluation cap or finds no root, or if the likelihood's supremum lies
+    on a boundary of the parameter space.
     """
     x = _check_samples(samples)
     fit, reason = _fit(family, x)

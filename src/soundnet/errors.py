@@ -50,9 +50,9 @@ class DegenerateData(SoundnetError):
 
 
 class NonConvergence(SoundnetError):
-    """No interior optimum was found: the simplex search hit its iteration cap,
-    the Gibrat root search found no root, or the likelihood's supremum lies on
-    a boundary of the parameter space. Carries the fit found."""
+    """No interior optimum: the exponentiated-Weibull search hit its evaluation
+    cap, the Gibrat root search found no root, or the likelihood's supremum
+    lies on a boundary of the parameter space. Carries the fit found."""
 
     def __init__(self, message, fit=None):
         super().__init__(message)

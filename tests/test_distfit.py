@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 from conftest import dense_ks
 from soundnet import distfit
@@ -87,20 +87,17 @@ def test_insufficient_and_degenerate():
 
 
 def test_nonconvergence_carries_partial_fit(monkeypatch):
-    from soundnet import simplex
-
-    def capped(fn, x0, max_iter=10_000, diameter_tol=1e-9):
-        return simplex.nelder_mead(fn, x0, max_iter=1, diameter_tol=0.0)
-
-    monkeypatch.setattr(distfit, "nelder_mead", capped)
+    # two profile evaluations are too few for the Newton search to converge
+    monkeypatch.setattr(distfit, "_EXPWEIB_MAX_EVALS", 2)
     draws = np.random.default_rng(0).lognormal(size=1000)
     with pytest.raises(NonConvergence) as err:
         distfit.fit_mle(DistFamily.EXPONENTIATED_WEIBULL, draws)
     assert err.value.fit is not None
-    assert distfit.SIMPLEX_CAP in str(err.value)
+    assert distfit.EVAL_CAP in str(err.value)
     report = distfit.best_fit(draws)
     ff = report.per_family[DistFamily.EXPONENTIATED_WEIBULL]
-    assert not ff.converged and ff.reason == distfit.SIMPLEX_CAP
+    assert not ff.converged and ff.reason == distfit.EVAL_CAP
+    assert ff.dist == err.value.fit
     assert report.best is not DistFamily.EXPONENTIATED_WEIBULL
 
 
@@ -308,8 +305,6 @@ def gibrat_samples(draw):
 @settings(max_examples=60, deadline=None)
 @given(gibrat_samples())
 def test_gibrat_fit_is_a_stationary_point_no_worse_than_the_simplex(x):
-    from soundnet.simplex import nelder_mead
-
     fit, reason = distfit._fit_gibrat(x)
     assert reason is None
     lo, hi = float(x.min()), float(x.max())
@@ -317,9 +312,15 @@ def test_gibrat_fit_is_a_stationary_point_no_worse_than_the_simplex(x):
     step = 1e-6 * (lo - fit.loc)
     assert ours <= _gibrat_nll(x, fit.loc - step)
     assert ours <= _gibrat_nll(x, fit.loc + step)
-    # the search this fit replaced: a Nelder-Mead simplex over loc from lo - 0.1 (hi - lo)
-    simplex = nelder_mead(lambda p: _gibrat_nll(x, p[0]) if p[0] < lo else np.inf, np.array([lo - 0.1 * (hi - lo)]))
-    assert ours <= simplex.fx + 1e-12 * abs(simplex.fx)
+    # the search this fit replaced: a Nelder-Mead simplex over loc from lo - 0.1 (hi - lo),
+    # run to a simplex 1e-9 wide as it was
+    simplex = optimize.minimize(
+        lambda p: _gibrat_nll(x, p[0]) if p[0] < lo else np.inf,
+        np.array([lo - 0.1 * (hi - lo)]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-9, "fatol": 1e-13 * abs(ours), "maxiter": 10_000},
+    )
+    assert ours <= simplex.fun + 1e-12 * abs(simplex.fun)
 
 
 B = distfit._KS_BLOCK

@@ -1,18 +1,21 @@
 """The exponentiated-Weibull fit at the edges of its parameter space.
 
 Log-space density and CDF against scipy (where its arithmetic is still exact)
-and against mpmath (where t = (x/scale)^c underflows); boundary fits on
-power-law samples and on the golden full-mode float32 piece; and the golden
-melodies, whose interior fitted parameters must stay bit for bit what they
-were before the boundary handling existed.
+and against mpmath (where t = (x/scale)^c underflows, and where 1 - exp(-t)
+is close to 1); the profile's closed-form derivatives against finite
+differences; boundary fits on power-law samples and on the golden full-mode
+float32 piece; converged fits as stationary points no worse than scipy's
+Nelder-Mead; and the golden melodies' interior fits, pinned.
 """
+
+import math
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
 from soundnet import distfit, spectral
 from soundnet.audio_io import decode_wav
@@ -70,6 +73,19 @@ def test_log_space_matches_mpmath_where_t_underflows(a, c, scale):
             want_pdf = mpmath.log(a) + mpmath.log(c) - mpmath.log(scale) + (a - 1) * log_u - t + (c - 1) * lz
             assert abs(logcdf[i] - float(want_cdf)) <= 1e-13 * abs(float(want_cdf))
             assert abs(logpdf[i] - float(want_pdf)) <= tol[i]
+
+
+def test_log1mexp_matches_mpmath_where_1_minus_exp_is_near_1():
+    # Maechler's log1p(-exp(-t)) branch above t = log 2: log(-expm1(-t)) would lose
+    # relative accuracy as e^t / 2^53 here (3e-8 at w = 3); the mixed path (one
+    # tail entry prepended) must give the same values
+    w = np.concatenate([np.linspace(0.0, 3.0, 301), [math.log(math.log(2.0)), math.nextafter(math.log(math.log(2.0)), 1.0)]])
+    for t, log_u in (distfit._exp_log1mexp(w), [v[1:] for v in distfit._exp_log1mexp(np.insert(w, 0, -100.0))]):
+        with mpmath.workdps(50):
+            want_t = [mpmath.exp(mpmath.mpf(float(wi))) for wi in w]
+            want = [float(mpmath.log(-mpmath.expm1(-ti))) for ti in want_t]
+        assert np.allclose(t, [float(ti) for ti in want_t], rtol=1e-15, atol=0.0)
+        assert np.all(np.abs(log_u - want) <= 1e-14 * np.abs(want))
 
 
 def test_tail_pdf_and_cdf_come_from_log_space():
@@ -164,37 +180,142 @@ def test_leaving_the_bounds_without_a_boundary_supremum(monkeypatch):
     assert 1.5 < fit.shape_params[1] <= 2.0
 
 
+# --- the Newton search -----------------------------------------------------------
+
+def _profile_at(x, c, scale):
+    lx = np.log(x)
+    return distfit._expweib_profile(lx, float(np.sum(lx)), np.array([math.log(c), math.log(scale)]))
+
+
+@pytest.mark.parametrize(
+    "a, c, scale, c_at, scale_at",
+    [
+        (3.0, 0.9, 400.0, 0.7, 350.0),  # an interior melody-like point
+        (0.05, 300.0, 1.0, 250.0, 0.98),  # near the power-law side: t underflows for most samples
+        (50.0, 0.3, 0.01, 0.25, 0.02),  # the Frechet side: t up to about 25, a large
+    ],
+)
+def test_profile_derivatives_match_finite_differences(a, c, scale, c_at, scale_at):
+    x = stats.exponweib.rvs(a, c, scale=scale, size=500, random_state=np.random.default_rng(5))
+    value, _a, grad, hess = _profile_at(x, c_at, scale_at)
+    theta = np.log([c_at, scale_at])
+    h = 1e-5
+    for i in range(2):
+        e = np.zeros(2)
+        e[i] = h
+        up = _profile_at(x, *np.exp(theta + e))
+        down = _profile_at(x, *np.exp(theta - e))
+        assert abs((up[0] - down[0]) / (2 * h) - grad[i]) <= 1e-5 * (1.0 + np.abs(grad).max()), i
+        # the Hessian against differences of the (checked) gradient
+        assert np.allclose((up[2] - down[2]) / (2 * h), hess[i], rtol=1e-5, atol=1e-5 * np.abs(hess).max()), i
+    # P is the negative log-likelihood with a at its closed form
+    assert value == pytest.approx(-np.sum(stats.exponweib.logpdf(x, _a, c_at, 0.0, scale_at)), rel=1e-12)
+
+
+def test_newton_step_descends_where_the_hessian_is_not_positive_definite():
+    grad = np.array([1.0, 1.0])
+    # eigenvalues 2 and -4 are used as 2 and 4
+    step = distfit._newton_step(grad, np.diag([2.0, -4.0]))
+    assert np.allclose(step, [-0.5, -0.25])
+    # a positive-definite Hessian gives the plain Newton step
+    pd = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert np.allclose(distfit._newton_step(grad, pd), -np.linalg.solve(pd, grad))
+    # a long step is cut to length 2; a zero eigenvalue is floored
+    for hess in (1e-3 * pd, np.diag([1.0, 0.0])):
+        step = distfit._newton_step(grad, hess)
+        assert math.hypot(*step) == pytest.approx(2.0)
+        assert grad @ step < 0.0
+
+
+def _expweib_start(x):
+    """The search's start point, (c0, scale0) from the coefficient of variation."""
+    c0 = min(max((x.std() / x.mean()) ** -1.086, 0.1), 20.0)
+    return c0, x.mean() / math.gamma(1.0 + 1.0 / c0)
+
+
+@st.composite
+def fit_samples(draw):
+    """Seeded power-law, uniform, lognormal and exponentiated-Weibull samples."""
+    kind = draw(st.sampled_from(["powerlaw", "uniform", "lognormal", "expweib"]))
+    n = draw(st.integers(20, 2000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "powerlaw":
+        return _power_law(n, draw(st.floats(0.3, 5.0)), draw(st.floats(1.0, 1e4)), seed)
+    if kind == "uniform":
+        lo = draw(st.floats(0.0, 1e3))
+        return rng.uniform(lo, lo + draw(st.floats(1.0, 1e4)), n)
+    if kind == "lognormal":
+        return draw(st.floats(0.1, 1e4)) * rng.lognormal(0.0, draw(st.floats(0.2, 2.0)), n)
+    a, c, scale = draw(st.floats(0.2, 20.0)), draw(st.floats(0.2, 5.0)), draw(st.floats(0.1, 1e3))
+    return stats.exponweib.rvs(a, c, scale=scale, size=n, random_state=rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fit_samples())
+def test_converged_fit_is_a_stationary_point_no_worse_than_the_simplex(x):
+    fit, reason = distfit._fit_expweib(x)
+    if reason is not None:
+        return
+    value, _a, grad, hess = _profile_at(x, fit.shape_params[1], fit.scale)
+    # a local minimum: a positive-definite profile Hessian, and a Newton decrement
+    # (the quadratic model's estimate of how far P is above it) at rounding level
+    assert np.linalg.eigvalsh(hess).min() > 0.0
+    assert grad @ np.linalg.solve(hess, grad) <= 1e-12 * abs(value)
+
+    # scipy's Nelder-Mead from the same start, inside the same bounds, on the
+    # profile computed with scipy's densities
+    def bounded(theta):
+        c, scale = np.exp(theta)
+        with np.errstate(all="ignore"):
+            a = -x.size / np.sum(stats.exponweib.logcdf(x, 1.0, c, 0.0, scale))
+            nll = -np.sum(stats.exponweib.logpdf(x, a, c, 0.0, scale))
+        return nll if c <= distfit.EXPWEIB_MAX_C and 0.0 < a <= distfit.EXPWEIB_MAX_A and np.isfinite(nll) else np.inf
+
+    start = np.log(_expweib_start(x))
+    simplex = optimize.minimize(
+        bounded, start, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14 * abs(value), "maxiter": 4000}
+    )
+    assert value <= simplex.fun + 1e-12 * abs(simplex.fun)
+
+
 # --- golden melodies -----------------------------------------------------------
 
-# the exponentiated-Weibull (params, KS D, KS p) of the golden pieces' interior fits: the
-# params as computed before the bounds and the log-space tail existed, the KS scores
-# from the CDF evaluated in log space
+# the exponentiated-Weibull (params, KS D, KS p) of the golden pieces' interior fits
 GOLDEN_INTERIOR = {
     ("stft", "a_pcm16"): (
-        (122.33272818201526, 0.26769458662020085, 0.0, 1.316621422748634),
-        0.10247437078176835,
-        0.35251346539555406,
+        (122.33271449235322, 0.2676945993571009, 0.0, 1.316621896985159),
+        0.10247436735831422,
+        0.35251350546425597,
     ),
     ("stft", "b_pcm24_stereo"): (
-        (2.7559262534764333, 0.9857883858249931, 0.0, 457.34932049672494),
-        0.0789983654932789,
-        0.6827232358441933,
+        (2.7559270793920203, 0.9857882638890398, 0.0, 457.34920517269836),
+        0.07899836180649086,
+        0.6827232920976634,
     ),
     ("stft", "c_float32"): (
-        (29.996908670357453, 0.4164273380205746, 0.0, 25.079945902126056),
-        0.06581443570967216,
-        0.8725340422375176,
+        (29.99688470391696, 0.4164274276823549, 0.0, 25.07997605596412),
+        0.065814441827304,
+        0.8725339711416569,
     ),
     ("full", "a_pcm16"): (
-        (1014.3580430265116, 0.18152824091448583, 0.0, 0.009297181028017317),
-        0.1401749967120436,
-        1.0066315643884809e-05,
+        (1014.3565059172289, 0.18152828120750067, 0.0, 0.009297214316894726),
+        0.1401750000864126,
+        1.0066309731493793e-05,
     ),
     ("full", "b_pcm24_stereo"): (
-        (17.559497696263854, 0.5484262986127689, 0.0, 54.418560236572),
-        0.12182146103465187,
-        0.01313220456412196,
+        (17.55949045411231, 0.5484263599810615, 0.0, 54.41858637143124),
+        0.12182145962181898,
+        0.013132206095006626,
     ),
+}
+# the same fits' params as the Nelder-Mead simplex found them, before the Newton search
+SIMPLEX_INTERIOR = {
+    ("stft", "a_pcm16"): (122.33272818201526, 0.26769458662020085, 0.0, 1.316621422748634),
+    ("stft", "b_pcm24_stereo"): (2.7559262534764333, 0.9857883858249931, 0.0, 457.34932049672494),
+    ("stft", "c_float32"): (29.996908670357453, 0.4164273380205746, 0.0, 25.079945902126056),
+    ("full", "a_pcm16"): (1014.3580430265116, 0.18152824091448583, 0.0, 0.009297181028017317),
+    ("full", "b_pcm24_stereo"): (17.559497696263854, 0.5484262986127689, 0.0, 54.418560236572),
 }
 
 
@@ -216,6 +337,12 @@ def test_golden_melodies_keep_their_interior_fits(golden_sequences):
         ff = distfit.best_fit(golden_sequences[key]).per_family[EW]
         assert (ff.dist.params_list(), ff.ks.statistic_d, ff.ks.p_value) == (list(params), ks_d, ks_p), key
         assert ff.converged and ff.reason is None, key
+        # no worse than where the simplex stopped, by scipy's log density
+        x = golden_sequences[key]
+        nll = -np.sum(stats.exponweib.logpdf(x, *params[:2], 0.0, params[3]))
+        a, c, _, scale = SIMPLEX_INTERIOR[key]
+        simplex_nll = -np.sum(stats.exponweib.logpdf(x, a, c, 0.0, scale))
+        assert nll <= simplex_nll + 1e-12 * abs(simplex_nll), key
 
 
 def test_golden_float32_full_mode_is_a_frechet_boundary_fit(golden_sequences):

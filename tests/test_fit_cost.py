@@ -43,6 +43,32 @@ def test_gibrat_fit_takes_at_most_20_score_evaluations(sequences, monkeypatch):
         assert len(calls) <= 20, name
 
 
+def _count_expweib_profiles(monkeypatch):
+    calls = []
+    profile = distfit._expweib_profile
+    monkeypatch.setattr(distfit, "_expweib_profile", lambda *args: calls.append(1) or profile(*args))
+    return calls
+
+
+def test_expweib_fit_takes_at_most_40_profile_evaluations(sequences, monkeypatch):
+    # each evaluation gives P with its gradient and Hessian; the count includes
+    # the two ray points of a boundary fit's confirmation
+    calls = _count_expweib_profiles(monkeypatch)
+    for name, x in sequences.items():
+        calls.clear()
+        distfit._fit_expweib(x)
+        assert len(calls) <= 40, name
+
+
+def test_expweib_fit_with_no_finite_start_fails_at_once(monkeypatch):
+    # the mean overflows, so the start (c0, scale0) is not finite
+    x = 1e307 * np.random.default_rng(3).uniform(1.0, 17.0, 95)
+    calls = _count_expweib_profiles(monkeypatch)
+    report = distfit.best_fit(x)
+    assert DistFamily.EXPONENTIATED_WEIBULL in report.failed
+    assert len(calls) <= 1
+
+
 def test_ks_evaluates_the_erf_based_cdfs_at_under_15_percent_of_a_broadband_sample(sequences, monkeypatch):
     x = sequences["broadband"]
     assert x.size > 80_000
