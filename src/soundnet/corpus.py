@@ -41,18 +41,8 @@ class CorpusReport:
 
 def average_ranks(values) -> np.ndarray:
     """Ranks starting at 1; tied values receive the mean of their rank span."""
-    v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    sv = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(x, y) -> float:

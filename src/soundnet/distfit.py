@@ -27,14 +27,17 @@ z^(a*c); on some small or multimodal samples at a -> inf, c -> 0, where the
 family tends to a Frechet law (Cheng & Amin 1983). The search therefore runs
 inside c <= EXPWEIB_MAX_C = 1e3 and a <= EXPWEIB_MAX_A = 1e5, two orders of
 magnitude above any interior fit on melodies. Steps are clipped at the c
-bound; the search stops there if P still falls toward larger c, and when a
-step that lowers P would leave the a bound. The profile is then evaluated at
-10 and 100 times that bound along the ray toward the limiting family
-(_limit_ray). If it still improves at both, the fit is reported at the last
-point inside the bounds with `converged` false and a `reason` naming the
-limit, so it cannot win best_fit; if not, the reason says the search left
-the bounds. A converged point that the power-law MLE, the c -> inf limit,
-matches or beats is reported as a power-law boundary fit too. The term
+bound; the search stops there if P still falls toward larger c, when its
+next step is too short to move, and when a step that lowers P would leave
+the a bound. A boundary fit is reported at the last point inside the bounds
+with `converged` false and a `reason` naming the limit, so it cannot win
+best_fit. The c side has a closed form: the power law is the c -> inf limit
+and its MLE the supremum of that limit, so a stop whose P that MLE matches
+or beats is a power-law boundary fit, and one below it on the c bound with
+P still falling has left the bounds. The a side has none: the profile is
+evaluated at 10 and 100 times the a bound along the ray toward the Frechet
+law (_limit_ray); if it still improves at both, the fit is a Frechet
+boundary fit, and if not, the search left the bounds. The term
 log(1 - exp(-t)), t = (x/scale)^c, follows Maechler (2012, "Accurately
 computing log(1 - exp(-|a|))"): log(-expm1(-t)) up to t = log 2,
 log1p(-exp(-t)) above, and the asymptote w - t/2 where w = log t < -30, as t
@@ -155,8 +158,11 @@ class FamilyFit:
 
     dist: FittedDistribution
     ks: KsResult
-    converged: bool
     reason: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.reason is None
 
 
 @dataclass(frozen=True)
@@ -422,25 +428,16 @@ def _fit_gibrat(x):
     return fit()
 
 
-def _limit_ray(reason, params, a, lx, factor):
+def _limit_ray(params, a, lx, factor):
     """Search coordinates (log c, log scale) on the ray from `params` toward the
-    limiting family of the boundary that `reason` names, where the bounded
-    shape is `factor` times its bound.
+    Frechet limit, where a is `factor` times its bound.
 
-    Power-law limit: c grows while c t(x_max) is held, t = (x / scale)^c: for
-    large c the best scale puts t at the largest sample near a constant over
-    c, so the scale tends to x_max. Frechet limit: with
-    t = exp(c (log x - log scale)) and m = mean(log x), log(-log F) is about
-    log a - t = kappa - alpha (log x - m) + O(c), so c falls while kappa =
-    log a - t(m) and alpha = c t(m) are held, until log a = kappa + alpha / c
-    reaches log(factor * EXPWEIB_MAX_A).
+    With t = exp(c (log x - log scale)) and m = mean(log x), log(-log F) is
+    about log a - t = kappa - alpha (log x - m) + O(c), so c falls while
+    kappa = log a - t(m) and alpha = c t(m) are held, until
+    log a = kappa + alpha / c reaches log(factor * EXPWEIB_MAX_A).
     """
     c, log_scale = math.exp(params[0]), float(params[1])
-    if reason == BOUNDARY_C:
-        top = float(lx.max())
-        c_ray = factor * EXPWEIB_MAX_C
-        w_top = c * (top - log_scale) + math.log(c / c_ray)
-        return np.array([math.log(c_ray), top - w_top / c_ray])
     mid = float(lx.mean())
     t_mid = math.exp(c * (mid - log_scale))
     kappa, alpha = math.log(a) - t_mid, c * t_mid
@@ -512,10 +509,13 @@ def _fit_expweib(x):
         c, scale = np.exp(theta)
         return FittedDistribution(DistFamily.EXPONENTIATED_WEIBULL, (float(a), float(c)), 0.0, float(scale)), reason
 
-    def confirm(reason):
-        # the search stopped at a bound: does the profile keep improving toward the limit?
-        ray = [_expweib_profile(lx, sum_lx, _limit_ray(reason, theta, a, lx, f))[0] for f in _RAY_FACTORS]
-        return fit_at(reason if value > ray[0] > ray[1] else OUT_OF_BOUNDS)
+    def settle():
+        # the power law is the family's c -> inf limit and its MLE the supremum of
+        # that limit: a point it matches or beats is a power-law boundary fit, and
+        # one below it on the c bound, with P still falling, lies past the bound
+        if value >= _powerlaw_limit_nll(x.size, sum_lx, float(lx.max())):
+            return fit_at(BOUNDARY_C)
+        return fit_at(OUT_OF_BOUNDS if theta[0] >= p_max and grad[0] < 0.0 else None)
 
     evals = 1
     while not (theta[0] >= p_max and grad[0] < 0.0):  # stop on the c bound if P still falls toward c -> inf
@@ -524,9 +524,7 @@ def _fit_expweib(x):
             trial = theta + step
             trial[0] = min(trial[0], p_max)
             if math.hypot(*(trial - theta)) < _STEP_TOL:
-                # the power law is the c -> inf limit of the family, so a point it
-                # beats is not the supremum: the search stopped on the ridge toward it
-                return fit_at(BOUNDARY_C if value >= _powerlaw_limit_nll(x.size, sum_lx, float(lx.max())) else None)
+                return settle()
             if evals >= _EXPWEIB_MAX_EVALS:
                 return fit_at(EVAL_CAP)
             evals += 1
@@ -534,10 +532,11 @@ def _fit_expweib(x):
             if at_trial[0] <= value:
                 break
             step *= 0.5
-        if at_trial[1] > EXPWEIB_MAX_A:  # the descent leaves the a bound
-            return confirm(BOUNDARY_A)
+        if at_trial[1] > EXPWEIB_MAX_A:  # the descent leaves the a bound: does P keep falling toward the Frechet law?
+            ray = [_expweib_profile(lx, sum_lx, _limit_ray(theta, a, lx, f))[0] for f in _RAY_FACTORS]
+            return fit_at(BOUNDARY_A if value > ray[0] > ray[1] else OUT_OF_BOUNDS)
         theta, (value, a, grad, hess) = trial, at_trial
-    return confirm(BOUNDARY_C)
+    return settle()
 
 
 def _powerlaw_limit_nll(n, sum_lx, log_top):
@@ -570,9 +569,14 @@ def _check_samples(samples) -> np.ndarray:
 
 
 def _fit(family: DistFamily, x: np.ndarray):
-    """The family's (fit, reason); InvalidFit if a parameter is not finite or the scale is not positive."""
-    with np.errstate(all="ignore"):  # magnitudes near the float64 limits; the checks below judge the result
-        fit, reason = _FITTERS[family](x)
+    """The family's (fit, reason); InvalidFit if the fitter raises ValueError or
+    ArithmeticError (with its message), or if a parameter is not finite or the
+    scale is not positive."""
+    try:
+        with np.errstate(all="ignore"):  # magnitudes near the float64 limits; the checks below judge the result
+            fit, reason = _FITTERS[family](x)
+    except (ValueError, ArithmeticError) as exc:  # samples off the support, or magnitudes the arithmetic cannot take
+        raise InvalidFit(str(exc)) from exc
     params = fit.params_list()
     if not (np.isfinite(params).all() and fit.scale > 0.0):
         raise InvalidFit(f"{family.value} fit has a non-finite parameter or a scale <= 0: {params}")
@@ -582,11 +586,13 @@ def _fit(family: DistFamily, x: np.ndarray):
 def fit_mle(family: DistFamily, samples) -> FittedDistribution:
     """Fit one family by maximum likelihood.
 
-    Raises InsufficientData / DegenerateData / NonFiniteValues on bad input,
-    InvalidFit if the samples' magnitudes leave a parameter non-finite or the
-    scale at 0, and NonConvergence (carrying the fit found) if a search hits
-    its evaluation cap or finds no root, or if the likelihood's supremum lies
-    on a boundary of the parameter space.
+    Raises only SoundnetError subclasses: InsufficientData / DegenerateData /
+    NonFiniteValues on bad input; InvalidFit if the family cannot be fitted to
+    the samples, as when they leave its support, or their magnitudes break the
+    fitter's arithmetic or leave a parameter non-finite or the scale at 0;
+    and NonConvergence (carrying the fit found) if a search hits its
+    evaluation cap or finds no root, or if the likelihood's supremum lies on a
+    boundary of the parameter space.
     """
     x = _check_samples(samples)
     fit, reason = _fit(family, x)
@@ -685,7 +691,7 @@ def _kolmogorov_q(lam: float) -> float:
 def best_fit(samples) -> FitReport:
     """Fit all seven families, KS-score each, and pick the converged fit with
     the smallest D (ties: fewer parameters, then family name). A family whose
-    fit raises, or is an InvalidFit, goes to `failed`."""
+    fit is an InvalidFit goes to `failed`."""
     x = _check_samples(samples)
     x_sorted = np.sort(x)
     per_family = {}
@@ -696,10 +702,10 @@ def best_fit(samples) -> FitReport:
             ks = _ks_sorted(fit, x_sorted)
             if not math.isfinite(ks.statistic_d):
                 raise InvalidFit(f"{family.value} fit has a non-finite KS statistic: {fit.params_list()}")
-        except (InvalidFit, ValueError, FloatingPointError, OverflowError, ZeroDivisionError) as exc:
+        except InvalidFit as exc:
             failed[family] = str(exc)
             continue
-        per_family[family] = FamilyFit(dist=fit, ks=ks, converged=reason is None, reason=reason)
+        per_family[family] = FamilyFit(dist=fit, ks=ks, reason=reason)
 
     converged = [(ff.ks.statistic_d, ff.dist.param_count, fam.value, fam) for fam, ff in per_family.items() if ff.converged]
     if not converged:

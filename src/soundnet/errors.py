@@ -60,8 +60,10 @@ class NonConvergence(SoundnetError):
 
 
 class InvalidFit(SoundnetError):
-    """A fit with a non-finite parameter, a scale <= 0 or a non-finite KS statistic:
-    the samples' magnitudes overflow or underflow the family's arithmetic."""
+    """A family that cannot be fitted to the samples: they leave its support (a
+    sample <= 0 for a positive family), or their magnitudes overflow or
+    underflow its arithmetic, so that the fitter raises or leaves a parameter
+    non-finite, the scale <= 0 or the KS statistic non-finite."""
 
 
 class AllFitsFailed(SoundnetError):

@@ -288,13 +288,7 @@ def clique_octave_histogram(clique) -> dict:
     """Count clique members per A-to-A octave range of their lower note."""
     counts = {bucket: 0 for bucket in OCTAVE_BUCKETS}
     for node in clique:
-        m = node.midi_lower
-        if m < 21:
-            counts["<A0"] += 1
-        elif m >= 93:
-            counts[">=A6"] += 1
-        else:
-            counts[OCTAVE_BUCKETS[1 + (m - 21) // 12]] += 1
+        counts[OCTAVE_BUCKETS[min(max(1 + (node.midi_lower - 21) // 12, 0), len(OCTAVE_BUCKETS) - 1)]] += 1
     return counts
 
 

@@ -12,8 +12,6 @@ the curve count checkable. In network figures <circle> is used for nodes only
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import CorpusComparison
@@ -37,24 +35,18 @@ PITCH_CLASS_COLORS = (
 )
 
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
+_FIT_BINS = 60  # histogram bars in the fit figure
+
+# the network spiral: radius and angle per rank
+_SPIRAL_STEP = 6.0
+_SPIRAL_TURN = 0.55
 
 
-@dataclass(frozen=True)
-class SpiralLayout:
+def spiral_position(i: int) -> tuple:
     """Spiral placement: index 0 (highest degree centrality) at the center,
     radius growing linearly with rank."""
-
-    r0: float = 0.0
-    b: float = 6.0
-    c: float = 0.55
-
-    def position(self, i: int) -> tuple:
-        r = self.r0 + self.b * i
-        return (r * np.cos(self.c * i), r * np.sin(self.c * i))
-
-
-_LAYOUT = SpiralLayout()
-_FIT_BINS = 60  # histogram bars in the fit figure
+    r = _SPIRAL_STEP * i
+    return (r * np.cos(_SPIRAL_TURN * i), r * np.sin(_SPIRAL_TURN * i))
 
 
 def _esc(text) -> str:
@@ -176,7 +168,7 @@ def render_network_svg(net: SoundNetwork, clique_only: bool = False) -> bytes:
         drawn = list(net.nodes)
     cent = net.degree_centrality
     drawn.sort(key=lambda b: (-cent.get(b.midi_lower, 0.0), b.midi_lower))
-    pos = {b.midi_lower: _LAYOUT.position(i) for i, b in enumerate(drawn)}
+    pos = {b.midi_lower: spiral_position(i) for i, b in enumerate(drawn)}
 
     node_r = 10.0
     margin = 60.0

@@ -71,9 +71,12 @@ def test_spearman_tie_handling_hand_cases():
         assert abs(spearman(x, y) - stats.spearmanr(x, y).statistic) < 1e-12
 
 
-def test_average_ranks_ties():
+def test_average_ranks_ties(rng):
     assert list(average_ranks([10.0, 10.0, 5.0])) == [2.5, 2.5, 1.0]
     assert list(average_ranks([3.0, 1.0, 2.0])) == [3.0, 1.0, 2.0]
+    for _ in range(200):
+        v = rng.integers(0, rng.integers(1, 30), size=rng.integers(0, 60)).astype(np.float64)
+        assert np.array_equal(average_ranks(v), stats.rankdata(v, method="average"))
 
 
 def test_spearman_self_correlation_exactly_one(rng):

@@ -169,9 +169,22 @@ def test_power_law_samples_give_boundary_fits_that_never_win(x):
         assert report.best is not EW
 
 
+@pytest.mark.parametrize("seed, n", [(64, 2868), (594, 2478), (799, 2563)])
+def test_a_c_bound_stop_that_the_power_law_mle_beats_is_a_boundary_fit(seed, n):
+    # the search stops on the c bound with P still falling, and the power-law MLE,
+    # the c -> inf limit, lies below P there: the supremum is that limit
+    x = np.random.default_rng([seed, 1]).uniform(0.1, 10.0, n)
+    fit, reason = distfit._fit_expweib(x)
+    assert reason == distfit.BOUNDARY_C
+    assert fit.shape_params[1] == pytest.approx(distfit.EXPWEIB_MAX_C, rel=1e-12)
+    lx = np.log(x)
+    ew = -float(np.sum(distfit._expweib_logpdf(x, fit.shape_params, 0.0, fit.scale)))
+    assert distfit._powerlaw_limit_nll(n, float(np.sum(lx)), float(lx.max())) < ew
+
+
 def test_leaving_the_bounds_without_a_boundary_supremum(monkeypatch):
     # this sample's optimum is near c = 2.9 and the search starts near c = 1.5;
-    # a bound between them is left, and the profile falls along the power-law ray
+    # a bound between them is left with P still falling, well below the power-law MLE
     x = stats.exponweib.rvs(0.3, 3.0, scale=10.0, size=2000, random_state=np.random.default_rng(1))
     assert distfit._fit_expweib(x)[1] is None
     monkeypatch.setattr(distfit, "EXPWEIB_MAX_C", 2.0)

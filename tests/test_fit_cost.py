@@ -52,12 +52,21 @@ def _count_expweib_profiles(monkeypatch):
 
 def test_expweib_fit_takes_at_most_40_profile_evaluations(sequences, monkeypatch):
     # each evaluation gives P with its gradient and Hessian; the count includes
-    # the two ray points of a boundary fit's confirmation
+    # the two ray points that confirm a Frechet (a-bound) boundary fit
     calls = _count_expweib_profiles(monkeypatch)
     for name, x in sequences.items():
         calls.clear()
         distfit._fit_expweib(x)
         assert len(calls) <= 40, name
+
+
+def test_expweib_power_law_boundary_is_decided_without_leaving_the_c_bound(sequences, monkeypatch):
+    # the power-law MLE decides the c side in closed form, so no evaluation lies past the bound
+    log_cs = []
+    profile = distfit._expweib_profile
+    monkeypatch.setattr(distfit, "_expweib_profile", lambda lx, s, theta: log_cs.append(theta[0]) or profile(lx, s, theta))
+    assert distfit._fit_expweib(sequences["broadband"])[1] == distfit.BOUNDARY_C
+    assert max(log_cs) <= np.log(distfit.EXPWEIB_MAX_C)
 
 
 def test_expweib_fit_with_no_finite_start_fails_at_once(monkeypatch):

@@ -261,6 +261,16 @@ def test_histogram_overflow_buckets():
     assert counts[">=A6"] == 1
 
 
+@pytest.mark.parametrize(
+    "midi, bucket",
+    [(20, "<A0"), (21, "[A0-A1)"), (32, "[A0-A1)"), (33, "[A1-A2)"), (92, "[A5-A6)"), (93, ">=A6")],
+)
+def test_histogram_bucket_edges(midi, bucket):
+    counts = clique_octave_histogram((grid_bin(midi),))
+    assert counts[bucket] == 1
+    assert sum(counts.values()) == 1
+
+
 def test_histogram_counts_sum_to_clique_size(rng):
     freqs = np.exp(rng.uniform(np.log(30.0), np.log(4000.0), size=500))
     net = net_from(freqs)

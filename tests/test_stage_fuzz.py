@@ -1,6 +1,6 @@
-"""Property tests of `build_network` and `best_fit` on their own.
+"""Property tests of `build_network`, `best_fit` and `fit_mle` on their own.
 
-Random frequency sequences go straight into both functions, without audio:
+Random frequency sequences go straight into these functions, without audio:
 empty, constant, tied, heavy-tailed and out-of-grid sequences, sequences of
 magnitudes near the float64 overflow or in the subnormals, with an occasional
 non-positive, NaN or infinite value. Each call must either return a result
@@ -10,11 +10,11 @@ bug.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soundnet.distfit import best_fit
-from soundnet.errors import SoundnetError
+from soundnet.distfit import ALL_FAMILIES, best_fit, fit_mle
+from soundnet.errors import NonConvergence, SoundnetError
 from soundnet.network import MIDI_HIGH, MIDI_LOW, PitchGrid, build_network
 
 GRID = PitchGrid()
@@ -80,3 +80,19 @@ def test_best_fit_returns_a_report_or_a_typed_error(values):
         assert np.isfinite(ff.dist.params_list()).all() and ff.dist.scale > 0.0
         assert 0.0 <= ff.ks.statistic_d <= 1.0
     assert set(report.per_family).isdisjoint(report.failed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences())
+@example(np.linspace(1e-310, 2e-310, 30))  # distinct subnormals whose standard deviation underflows to 0
+def test_fit_mle_returns_a_fit_or_a_typed_error_for_every_family(values):
+    for family in ALL_FAMILIES:
+        try:
+            fit = fit_mle(family, values)
+        except NonConvergence as exc:
+            fit = exc.fit
+        except SoundnetError:
+            continue
+        assert np.isfinite(values).all()
+        assert fit.family is family
+        assert np.isfinite(fit.params_list()).all() and fit.scale > 0.0

@@ -6,7 +6,7 @@ import pytest
 from soundnet import distfit, svg_report
 from soundnet.corpus import corpus_report, degree_correlation_matrix
 from soundnet.network import PitchGrid, build_network
-from soundnet.svg_report import SpiralLayout
+from soundnet.svg_report import spiral_position
 
 NS = "{http://www.w3.org/2000/svg}"
 GRID = PitchGrid()
@@ -87,8 +87,7 @@ def test_network_svg_center_is_highest_centrality():
     for leaf in leaves:
         walk += [center, leaf]
     net = build_network(np.asarray(walk), GRID)
-    layout = SpiralLayout()
-    origin = layout.position(0)
+    origin = spiral_position(0)
     root = parse(svg_report.render_network_svg(net))
     circles = find_all(root, "circle")
     # the first circle drawn is index 0; its title holds the node name
@@ -98,8 +97,7 @@ def test_network_svg_center_is_highest_centrality():
 
 
 def test_spiral_radius_orders_by_centrality():
-    layout = SpiralLayout()
-    radii = [np.hypot(*layout.position(i)) for i in range(20)]
+    radii = [np.hypot(*spiral_position(i)) for i in range(20)]
     assert all(radii[i] < radii[i + 1] for i in range(19))
     # on a real network: strictly higher centrality always means smaller radius
     rng = np.random.default_rng(21)
@@ -107,7 +105,7 @@ def test_spiral_radius_orders_by_centrality():
     net = build_network(freqs, GRID)
     cent = net.degree_centrality
     ordered = sorted(net.nodes, key=lambda b: (-cent.get(b.midi_lower, 0.0), b.midi_lower))
-    radius = {b.midi_lower: np.hypot(*layout.position(i)) for i, b in enumerate(ordered)}
+    radius = {b.midi_lower: np.hypot(*spiral_position(i)) for i, b in enumerate(ordered)}
     for u in net.nodes:
         for v in net.nodes:
             if cent[u.midi_lower] > cent[v.midi_lower]:
