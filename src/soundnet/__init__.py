@@ -7,7 +7,6 @@ equal-tempered pitch-bin graph, and compare pieces across a corpus.
 
 from .audio_io import AudioBuffer, decode_wav, write_wav_float32, write_wav_int16
 from .corpus import (
-    CorpusComparison,
     CorpusReport,
     corpus_report,
     degree_correlation_matrix,
@@ -76,7 +75,6 @@ __all__ = [
     "spearman",
     "degree_correlation_matrix",
     "corpus_report",
-    "CorpusComparison",
     "CorpusReport",
     "__version__",
 ]

@@ -45,13 +45,13 @@ _CHOICES = {"mode": ("stft", "full"), "alignment": (corpus_mod.ALIGN_UNION, corp
 @dataclass(frozen=True)
 class RunConfig:
     mode: str = "stft"
-    a4_hz: float = 440.0
-    frame_size: int = 4096
-    hop: int = 2048
-    top_k: int = 5
-    rel_threshold: float = 0.1
-    floor_db: float = -60.0
-    alignment: str = "union"
+    a4_hz: float = network.PitchGrid.a4_hz
+    frame_size: int = spectral.PeakParams.frame_size
+    hop: int = spectral.PeakParams.hop
+    top_k: int = spectral.PeakParams.top_k
+    rel_threshold: float = spectral.PeakParams.rel_threshold
+    floor_db: float = spectral.PeakParams.floor_db
+    alignment: str = corpus_mod.ALIGN_UNION
     out: str = "."
 
     def peak_params(self) -> spectral.PeakParams:
@@ -127,7 +127,7 @@ def _write_piece_artifacts(out_dir: Path, piece: str, report, fit_report, net, s
     _dump_json(out_dir / f"{piece}.json", {"piece_id": piece, **report})
     if fit_report is not None:  # the fit figure needs a converged best fit
         (out_dir / f"{piece}.fit.svg").write_bytes(svg_report.render_fit_svg(seq.values_hz, fit_report))
-    (out_dir / f"{piece}.network.svg").write_bytes(svg_report.render_network_svg(net, clique_only=True))
+    (out_dir / f"{piece}.network.svg").write_bytes(svg_report.render_network_svg(net))
 
 
 def _make_out_dir(config: RunConfig) -> Path | None:
@@ -163,17 +163,18 @@ def _analysis_exit(exc, path) -> int:
 
 
 def _piece_ids(paths) -> dict:
-    """file path -> unique piece id (stem, numeric suffix on collision)."""
+    """file path -> unique piece id: the stem, or on a collision the stem with
+    the least suffix -k (k >= 2) that is neither given yet nor another file's stem."""
+    stems = {path.stem for path in paths}
+    given = set()
     ids = {}
-    seen = {}
     for path in paths:
-        stem = path.stem
-        if stem in seen:
-            seen[stem] += 1
-            ids[path] = f"{stem}-{seen[stem]}"
-        else:
-            seen[stem] = 1
-            ids[path] = stem
+        piece, k = path.stem, 1
+        while piece in given or (k > 1 and piece in stems):
+            k += 1
+            piece = f"{path.stem}-{k}"
+        given.add(piece)
+        ids[path] = piece
     return ids
 
 
@@ -225,10 +226,10 @@ def cmd_corpus(directory: str, config: RunConfig, jobs: int | None = None) -> in
 
     report = corpus_mod.corpus_report(analyses, alignment=config.alignment)
     (out_dir / "corpus.summary.csv").write_text(corpus_mod.summary_csv(report), encoding="utf-8")
-    if report.comparison.corr_matrix is not None:
-        (out_dir / "corpus.matrix.csv").write_text(corpus_mod.matrix_csv(report.comparison), encoding="utf-8")
-        (out_dir / "corpus.heatmap.svg").write_bytes(svg_report.render_heatmap_svg(report.comparison))
-    (out_dir / "corpus.cliques.svg").write_bytes(svg_report.render_clique_bars_svg(report.comparison))
+    if report.corr_matrix is not None:
+        (out_dir / "corpus.matrix.csv").write_text(corpus_mod.matrix_csv(report), encoding="utf-8")
+        (out_dir / "corpus.heatmap.svg").write_bytes(svg_report.render_heatmap_svg(report))
+    (out_dir / "corpus.cliques.svg").write_bytes(svg_report.render_clique_bars_svg(report))
     collisions = {str(path): piece for path, piece in ids.items() if piece != path.stem}
     _dump_json(
         out_dir / "corpus.json",

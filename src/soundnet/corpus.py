@@ -1,11 +1,11 @@
 """Cross-piece analysis: Spearman degree-centrality correlations and
-clique-composition summaries.
+clique-composition summaries, held together in one CorpusReport.
 
 Centrality vectors of different pieces are aligned over the union of their
 node sets by default (absent nodes contribute 0.0); pairwise intersection
 alignment is available for sensitivity analysis. Degenerate cells (a constant
 vector, or fewer than two common nodes in intersection mode) are emitted as
-explicit nulls, never as 0.
+explicit nulls, never as 0. A corpus of one piece has no matrix.
 """
 
 from __future__ import annotations
@@ -24,19 +24,14 @@ ALIGN_INTERSECTION = "intersection"
 
 
 @dataclass(frozen=True)
-class CorpusComparison:
+class CorpusReport:
     piece_ids: tuple
     corr_matrix: list | None   # rows of float-or-None; None when < 2 pieces
     clique_histograms: dict    # piece -> {octave bucket: count}
     clique_sizes: dict         # piece -> int
-    alignment: str = ALIGN_UNION
-
-
-@dataclass(frozen=True)
-class CorpusReport:
-    comparison: CorpusComparison
     summary_rows: list         # one dict per piece, fixed column order
     family_share: dict         # best-fit family -> {"count": int, "share": float}
+    alignment: str = ALIGN_UNION
 
 
 def average_ranks(values) -> np.ndarray:
@@ -72,12 +67,14 @@ def _centrality_vector(net: SoundNetwork, universe) -> np.ndarray:
     return np.array([cent.get(m, 0.0) for m in universe], dtype=np.float64)
 
 
-def degree_correlation_matrix(networks: dict, alignment: str = ALIGN_UNION) -> CorpusComparison:
-    """Pairwise Spearman matrix of per-piece degree centralities.
+def degree_correlation_matrix(networks: dict, alignment: str = ALIGN_UNION) -> list:
+    """Pairwise Spearman matrix of per-piece degree centralities, as a list of
+    rows in the order of `networks`.
 
     Union mode indexes every piece over the union of all node sets with 0.0
     for absent nodes; intersection mode correlates each pair over the nodes
-    the two pieces share. Degenerate cells become None.
+    the two pieces share. Degenerate cells become None. Raises ValueError for
+    an unknown alignment or fewer than two pieces.
     """
     if alignment not in (ALIGN_UNION, ALIGN_INTERSECTION):
         raise ValueError(f"unknown alignment {alignment!r}")
@@ -105,36 +102,24 @@ def degree_correlation_matrix(networks: dict, alignment: str = ALIGN_UNION) -> C
             except DegenerateInput:
                 value = None
             matrix[i][j] = matrix[j][i] = value
-
-    return _comparison(networks, matrix, alignment)
-
-
-def _comparison(networks: dict, corr_matrix, alignment: str) -> CorpusComparison:
-    return CorpusComparison(
-        piece_ids=tuple(networks),
-        corr_matrix=corr_matrix,
-        clique_histograms={p: clique_octave_histogram(net.largest_clique) for p, net in networks.items()},
-        clique_sizes={p: len(net.largest_clique) for p, net in networks.items()},
-        alignment=alignment,
-    )
+    return matrix
 
 
 def corpus_report(analyses: dict, alignment: str = ALIGN_UNION) -> CorpusReport:
     """Corpus summary over piece -> (FitReport, SoundNetwork) analyses.
 
-    Emits one summary row per piece (best family, its (loc, scale), KS (d, p),
-    graph and clique sizes, octave histogram), the share of pieces per winning
-    family, and the correlation matrix when two or more pieces are present.
+    Holds each piece's largest-clique size and octave histogram, one summary
+    row per piece (best family, its (loc, scale), KS (d, p), graph and clique
+    sizes, octave histogram), the share of pieces per winning family, and the
+    correlation matrix when two or more pieces are present (None otherwise).
     """
     if not analyses:
         raise ValueError("corpus_report needs at least one piece")
     pieces = tuple(analyses)
     networks = {p: analyses[p][1] for p in pieces}
-
-    if len(pieces) >= 2:
-        comparison = degree_correlation_matrix(networks, alignment=alignment)
-    else:
-        comparison = _comparison(networks, None, alignment)
+    histograms = {p: clique_octave_histogram(net.largest_clique) for p, net in networks.items()}
+    sizes = {p: len(net.largest_clique) for p, net in networks.items()}
+    matrix = degree_correlation_matrix(networks, alignment=alignment) if len(pieces) >= 2 else None
 
     rows = []
     counts: dict = {}
@@ -151,16 +136,24 @@ def corpus_report(analyses: dict, alignment: str = ALIGN_UNION) -> CorpusReport:
             "ks_p": best.ks.p_value,
             "n_nodes": len(net.nodes),
             "n_edges": len(net.edges),
-            "clique_size": comparison.clique_sizes[piece],
+            "clique_size": sizes[piece],
         }
-        row.update(comparison.clique_histograms[piece])
+        row.update(histograms[piece])
         rows.append(row)
 
     share = {
         family: {"count": count, "share": count / len(pieces)}
         for family, count in sorted(counts.items())
     }
-    return CorpusReport(comparison=comparison, summary_rows=rows, family_share=share)
+    return CorpusReport(
+        piece_ids=pieces,
+        corr_matrix=matrix,
+        clique_histograms=histograms,
+        clique_sizes=sizes,
+        summary_rows=rows,
+        family_share=share,
+        alignment=alignment,
+    )
 
 
 SUMMARY_COLUMNS = (
@@ -186,13 +179,12 @@ def summary_csv(report: CorpusReport) -> str:
     return out.getvalue()
 
 
-def matrix_csv(comparison: CorpusComparison) -> str:
+def matrix_csv(report: CorpusReport) -> str:
     """Correlation matrix as CSV with piece ids on both axes; nulls are empty cells."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(("piece",) + comparison.piece_ids)
-    matrix = comparison.corr_matrix or []
-    for piece, row in zip(comparison.piece_ids, matrix):
+    writer.writerow(("piece",) + report.piece_ids)
+    for piece, row in zip(report.piece_ids, report.corr_matrix or []):
         writer.writerow([piece] + [_csv_value(v) for v in row])
     return out.getvalue()
 
@@ -204,13 +196,13 @@ def _csv_value(v):
 
 
 def comparison_to_dict(report: CorpusReport) -> dict:
-    comp = report.comparison
+    """The "comparison" section of corpus.json."""
     return {
-        "alignment": comp.alignment,
-        "piece_ids": list(comp.piece_ids),
-        "corr_matrix": comp.corr_matrix,
-        "clique_histograms": comp.clique_histograms,
-        "clique_sizes": comp.clique_sizes,
+        "alignment": report.alignment,
+        "piece_ids": list(report.piece_ids),
+        "corr_matrix": report.corr_matrix,
+        "clique_histograms": report.clique_histograms,
+        "clique_sizes": report.clique_sizes,
         "summary": report.summary_rows,
         "family_share": report.family_share,
     }

@@ -249,17 +249,14 @@ def _log1mexp(t):
 def _exp_log1mexp(w):
     """(t, log(1 - exp(-t))) for t = exp(w).
 
-    Where every w is at least _TAIL_W this is exp(w) and _log1mexp(t).
-    Otherwise log(1 - exp(-t)) is the asymptote w - t/2 wherever w < _TAIL_W,
-    which stays finite where t underflows, and w is clipped at _EXP_MIN before
-    the exponential: below it t only underflows (and numpy's exp leaves its
-    vector path), and raising t to exp(_EXP_MIN) = 1e-304 there changes none of
-    the sums and differences it enters.
+    Where w is at least _TAIL_W this is exp(w) and _log1mexp(t). Where
+    w < _TAIL_W, log(1 - exp(-t)) is the asymptote w - t/2, which stays finite
+    where t underflows, and w is clipped at _EXP_MIN before the exponential:
+    below it t only underflows (and numpy's exp leaves its vector path), and
+    raising t to exp(_EXP_MIN) = 1e-304 there changes none of the sums and
+    differences it enters.
     """
     with np.errstate(over="ignore", divide="ignore"):
-        if not w.size or w.min() >= _TAIL_W:
-            t = np.exp(w)
-            return t, _log1mexp(t)
         t = np.exp(np.maximum(w, _EXP_MIN))
         log_u = w - 0.5 * t
         head = w >= _TAIL_W
@@ -606,10 +603,13 @@ def ks_test(fit: FittedDistribution, samples) -> KsResult:
 
     D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) over the sorted sample;
     p = Q_KS(lambda) with lambda = (sqrt(n) + 0.12 + 0.11/sqrt(n)) * D.
+    Raises NonFiniteValues when the sample holds NaN or an infinite value.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64))
     if x.size < 1:
         raise ValueError("ks_test needs at least one sample")
+    if not np.isfinite(x).all():
+        raise NonFiniteValues("samples contain NaN or infinite values")
     return _ks_sorted(fit, x)
 
 

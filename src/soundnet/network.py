@@ -93,9 +93,12 @@ def _midi_of(freqs: np.ndarray, grid: PitchGrid) -> np.ndarray:
 def bin_of(freq_hz: float, grid: PitchGrid | None = None) -> PitchBin | None:
     """The unique pitch bin containing freq_hz, or None when outside the grid.
 
-    Raises NonPositiveFrequency for freq_hz <= 0.
+    Raises NonFiniteValues for NaN or an infinite freq_hz, and
+    NonPositiveFrequency for freq_hz <= 0.
     """
     grid = grid or PitchGrid()
+    if not np.isfinite(freq_hz):
+        raise NonFiniteValues(f"frequency must be finite, got {freq_hz}")
     if freq_hz <= 0.0:
         raise NonPositiveFrequency(f"frequency must be > 0 Hz, got {freq_hz}")
     midi = int(_midi_of(np.asarray([freq_hz], dtype=np.float64), grid)[0])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import CorpusComparison
+from .corpus import CorpusReport
 from .distfit import FitReport
 from .network import OCTAVE_BUCKETS, PITCH_CLASS_NAMES, SoundNetwork
 
@@ -158,14 +158,10 @@ def _panel_frame(left, top, w, h, x_label, y_label) -> list:
 
 # --- figure: spiral network ----------------------------------------------------
 
-def render_network_svg(net: SoundNetwork, clique_only: bool = False) -> bytes:
-    """Spiral network drawing; with clique_only, only the largest clique's
-    nodes and their mutual edges appear. Node color follows the pitch class
-    of the bin's lower note."""
-    if clique_only:
-        drawn = list(net.largest_clique)
-    else:
-        drawn = list(net.nodes)
+def render_network_svg(net: SoundNetwork) -> bytes:
+    """Spiral drawing of the largest clique: its nodes and their mutual edges.
+    Node color follows the pitch class of the bin's lower note."""
+    drawn = list(net.largest_clique)
     cent = net.degree_centrality
     drawn.sort(key=lambda b: (-cent.get(b.midi_lower, 0.0), b.midi_lower))
     pos = {b.midi_lower: spiral_position(i) for i, b in enumerate(drawn)}
@@ -229,11 +225,11 @@ def _diverging_color(v: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_heatmap_svg(comparison: CorpusComparison) -> bytes:
+def render_heatmap_svg(report: CorpusReport) -> bytes:
     """Correlation matrix heatmap; missing cells are gray with an en dash."""
-    if comparison.corr_matrix is None:
-        raise ValueError("comparison holds no correlation matrix")
-    ids = comparison.piece_ids
+    if report.corr_matrix is None:
+        raise ValueError("report holds no correlation matrix")
+    ids = report.piece_ids
     n = len(ids)
     cell = 52.0
     left, top = 170.0, 40.0
@@ -243,7 +239,7 @@ def render_heatmap_svg(comparison: CorpusComparison) -> bytes:
 
     for i in range(n):
         for j in range(n):
-            v = comparison.corr_matrix[i][j]
+            v = report.corr_matrix[i][j]
             x, y = left + j * cell, top + i * cell
             fill = "#cccccc" if v is None else _diverging_color(v)
             body.append(
@@ -284,10 +280,10 @@ _BUCKET_COLORS = (
 )
 
 
-def render_clique_bars_svg(comparison: CorpusComparison) -> bytes:
+def render_clique_bars_svg(report: CorpusReport) -> bytes:
     """Grouped bars of largest-clique composition per octave range; bars with
     zero count are not drawn."""
-    ids = comparison.piece_ids
+    ids = report.piece_ids
     buckets = OCTAVE_BUCKETS
     bar_w = 9.0
     group_w = bar_w * len(buckets) + 18.0
@@ -297,7 +293,7 @@ def render_clique_bars_svg(comparison: CorpusComparison) -> bytes:
     height = top + plot_h + 140.0
 
     max_count = max(
-        (comparison.clique_histograms[p][bucket] for p in ids for bucket in buckets),
+        (report.clique_histograms[p][bucket] for p in ids for bucket in buckets),
         default=0,
     )
     unit = plot_h / max(max_count, 1)
@@ -312,7 +308,7 @@ def render_clique_bars_svg(comparison: CorpusComparison) -> bytes:
 
     for gi, piece in enumerate(ids):
         gx = left + gi * group_w
-        hist = comparison.clique_histograms[piece]
+        hist = report.clique_histograms[piece]
         for bi, bucket in enumerate(buckets):
             count = hist[bucket]
             if count <= 0:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import sine, wav_bytes
-from soundnet import audio_io, spectral
+from soundnet import audio_io, network, spectral
 from soundnet.cli import RunConfig, _piece_ids, main
 
 
@@ -355,6 +355,28 @@ def test_piece_id_collision_suffixes(tmp_path):
     ids = _piece_ids([a, b])
     assert ids[a] == "x"
     assert ids[b] == "x-2"
+
+
+def test_corpus_keeps_every_piece_whose_suffixed_id_is_another_stem(tmp_path):
+    # sorted order: "a-2" is given to a-2.wav before a.wav collides with a.WAV
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    for seed, name in enumerate(("a-2.wav", "a.WAV", "a.wav")):
+        write_melody(corpus_dir / name, seed=60 + seed)
+    ids = _piece_ids(sorted(corpus_dir.iterdir()))
+    assert len(set(ids.values())) == 3
+    assert ids[corpus_dir / "a-2.wav"] == "a-2" and ids[corpus_dir / "a.WAV"] == "a"
+    out = tmp_path / "out"
+    assert main(["corpus", str(corpus_dir), "--out", str(out), "--jobs", "2", *MELODY_FLAGS]) == 0
+    corpus_json = json.loads((out / "corpus.json").read_text(encoding="utf-8"))
+    assert len(corpus_json["pieces"]) == 3
+    assert corpus_json["skipped"] == {}
+    assert {p.name for p in out.glob("*.json")} == {f"{piece}.json" for piece in corpus_json["pieces"]} | {"corpus.json"}
+
+
+def test_run_config_defaults_are_the_stage_defaults():
+    assert RunConfig().peak_params() == spectral.PeakParams()
+    assert RunConfig().grid() == network.PitchGrid()
 
 
 def test_run_config_validation():

@@ -7,6 +7,7 @@ from scipy import stats
 
 from soundnet import corpus, distfit, network
 from soundnet.corpus import (
+    CorpusReport,
     average_ranks,
     corpus_report,
     degree_correlation_matrix,
@@ -112,10 +113,10 @@ def test_spearman_rejects_non_finite_values(bad):
 
 def test_identical_networks_full_correlation():
     net = manual_network([60, 64, 67], [(60, 64), (64, 67)])
-    comp = degree_correlation_matrix({"a": net, "b": net})
-    assert comp.corr_matrix[0][1] == 1.0
-    assert comp.corr_matrix[1][0] == 1.0
-    assert comp.corr_matrix[0][0] == 1.0
+    matrix = degree_correlation_matrix({"a": net, "b": net})
+    assert matrix[0][1] == 1.0
+    assert matrix[1][0] == 1.0
+    assert matrix[0][0] == 1.0
 
 
 def test_path_vs_star_hand_value():
@@ -124,19 +125,19 @@ def test_path_vs_star_hand_value():
     x, y, z = 64, 65, 66
     path = manual_network([x, y, z], [(x, y), (y, z)])
     star = manual_network([x, y, z], [(x, y), (x, z)])
-    comp = degree_correlation_matrix({"path": path, "star": star})
-    assert abs(comp.corr_matrix[0][1] - (-0.5)) < 1e-12
+    matrix = degree_correlation_matrix({"path": path, "star": star})
+    assert abs(matrix[0][1] - (-0.5)) < 1e-12
 
 
 def test_disjoint_node_sets_union_alignment():
     a = manual_network([60, 62, 64], [(60, 62), (62, 64)])
     b = manual_network([70, 72, 74], [(70, 72), (70, 74)])
-    comp = degree_correlation_matrix({"a": a, "b": b})
+    matrix = degree_correlation_matrix({"a": a, "b": b})
     # oracle: align by hand over the 6-node union with zero fill
     va = [0.5, 1.0, 0.5, 0.0, 0.0, 0.0]
     vb = [0.0, 0.0, 0.0, 1.0, 0.5, 0.5]
     expected = stats.spearmanr(va, vb).statistic
-    assert abs(comp.corr_matrix[0][1] - expected) < 1e-12
+    assert abs(matrix[0][1] - expected) < 1e-12
 
 
 def test_matrix_symmetry_and_diagonal(rng):
@@ -144,14 +145,14 @@ def test_matrix_symmetry_and_diagonal(rng):
     for i in range(4):
         freqs = np.exp(rng.uniform(np.log(60.0), np.log(2000.0), size=80))
         nets[f"p{i}"] = build_network(freqs, GRID)
-    comp = degree_correlation_matrix(nets)
+    matrix = degree_correlation_matrix(nets)
     n = len(nets)
     for i in range(n):
-        assert comp.corr_matrix[i][i] == 1.0
+        assert matrix[i][i] == 1.0
         for j in range(n):
-            assert comp.corr_matrix[i][j] == comp.corr_matrix[j][i]
-            if comp.corr_matrix[i][j] is not None:
-                assert -1.0 <= comp.corr_matrix[i][j] <= 1.0
+            assert matrix[i][j] == matrix[j][i]
+            if matrix[i][j] is not None:
+                assert -1.0 <= matrix[i][j] <= 1.0
 
 
 def test_matrix_permutation_consistency(rng):
@@ -164,7 +165,7 @@ def test_matrix_permutation_consistency(rng):
     k = len(nets) - 1
     for i in range(len(nets)):
         for j in range(len(nets)):
-            assert forward.corr_matrix[i][j] == backward.corr_matrix[k - i][k - j]
+            assert forward[i][j] == backward[k - i][k - j]
 
 
 def test_union_zero_node_pinning():
@@ -172,7 +173,7 @@ def test_union_zero_node_pinning():
     # through tie ranks; pin the exact effect via the union-aligned oracle
     a = manual_network([60, 62, 64], [(60, 62), (62, 64)])
     b = manual_network([60, 62, 64], [(60, 62), (60, 64)])
-    base = degree_correlation_matrix({"a": a, "b": b}).corr_matrix[0][1]
+    base = degree_correlation_matrix({"a": a, "b": b})[0][1]
     va, vb = [0.5, 1.0, 0.5], [1.0, 0.5, 0.5]
     extended_a, extended_b = va + [0.0], vb + [0.0]
     assert abs(spearman(va, vb) - (-0.5)) < 1e-12
@@ -185,21 +186,20 @@ def test_union_zero_node_pinning():
 def test_intersection_alignment_mode():
     a = manual_network([60, 62, 64, 66], [(60, 62), (62, 64), (64, 66)])
     b = manual_network([62, 64, 66, 68], [(62, 64), (62, 66), (62, 68)])
-    comp = degree_correlation_matrix({"a": a, "b": b}, alignment="intersection")
+    matrix = degree_correlation_matrix({"a": a, "b": b}, alignment="intersection")
     shared = [62, 64, 66]
     va = [a.degree_centrality[m] for m in shared]
     vb = [b.degree_centrality[m] for m in shared]
-    assert abs(comp.corr_matrix[0][1] - stats.spearmanr(va, vb).statistic) < 1e-12
-    assert comp.alignment == "intersection"
+    assert abs(matrix[0][1] - stats.spearmanr(va, vb).statistic) < 1e-12
 
 
 def test_degenerate_cell_is_null_not_zero():
     # complete graphs have all-1.0 centralities: constant vectors, null cell
     a = manual_network([60, 62], [(60, 62)])
     b = manual_network([60, 62], [(60, 62)])
-    comp = degree_correlation_matrix({"a": a, "b": b})
-    assert comp.corr_matrix[0][1] is None
-    assert comp.corr_matrix[0][0] == 1.0
+    matrix = degree_correlation_matrix({"a": a, "b": b})
+    assert matrix[0][1] is None
+    assert matrix[0][0] == 1.0
 
 
 # --- corpus report --------------------------------------------------------------------
@@ -213,8 +213,10 @@ def analysis_for(seed, size=2_000):
 
 
 def test_corpus_single_piece_no_matrix():
-    report = corpus_report({"only": analysis_for(1)})
-    assert report.comparison.corr_matrix is None
+    report = corpus_report({"only": analysis_for(1)}, alignment="intersection")
+    assert report.corr_matrix is None
+    assert report.alignment == "intersection"
+    assert report.piece_ids == ("only",)
     assert len(report.summary_rows) == 1
     assert report.summary_rows[0]["id"] == "only"
 
@@ -266,8 +268,15 @@ def test_summary_csv_parses_and_matches():
 def test_matrix_csv_null_cells_empty():
     a = manual_network([60, 62], [(60, 62)])
     b = manual_network([60, 62], [(60, 62)])
-    comp = degree_correlation_matrix({"a": a, "b": b})
-    text = matrix_csv(comp)
+    report = CorpusReport(
+        piece_ids=("a", "b"),
+        corr_matrix=degree_correlation_matrix({"a": a, "b": b}),
+        clique_histograms={},
+        clique_sizes={},
+        summary_rows=[],
+        family_share={},
+    )
+    text = matrix_csv(report)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["piece", "a", "b"]
     assert rows[1][2] == ""  # degenerate cell stays empty, not 0

@@ -127,6 +127,13 @@ def test_ks_single_point():
     assert res.n == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_rejects_non_finite_samples(bad):
+    fit = FittedDistribution(DistFamily.EXPONENTIAL, (), 0.0, 1.0)
+    with pytest.raises(NonFiniteValues):
+        distfit.ks_test(fit, [1.0, bad, 3.0])
+
+
 def test_ks_quantile_grid_midpoints():
     # samples at F^-1((i-0.5)/n) make D = 1/(2n) exactly
     n = 100

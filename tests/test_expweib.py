@@ -103,8 +103,8 @@ def test_tail_pdf_and_cdf_come_from_log_space():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.floats(-1e4, distfit._TAIL_W, exclude_max=True))
 def test_all_interior_fast_path_is_bit_identical_to_the_mixed_path(seed, n, tail_w):
-    # _exp_log1mexp skips the tail handling when every w >= -30; adding one w < -30
-    # must not change a bit of the other entries
+    # adding one w < -30 (a tail entry) to a vector of w >= -30 must not change
+    # a bit of the other entries
     w = np.random.default_rng(seed).uniform(distfit._TAIL_W, 10.0, n)
     t, log_u = distfit._exp_log1mexp(w)
     t_mixed, log_u_mixed = distfit._exp_log1mexp(np.insert(w, n // 2, tail_w))

@@ -51,6 +51,12 @@ def test_bin_of_rejects_nonpositive():
         bin_of(-5.0, GRID)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bin_of_rejects_non_finite(bad):
+    with pytest.raises(NonFiniteValues):
+        bin_of(bad, GRID)
+
+
 def test_note_freq_anchor_exact():
     assert GRID.note_freq(69) == 440.0
 

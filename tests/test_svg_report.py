@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soundnet import distfit, svg_report
-from soundnet.corpus import corpus_report, degree_correlation_matrix
+from soundnet.corpus import CorpusReport, corpus_report
 from soundnet.network import PitchGrid, build_network
 from soundnet.svg_report import spiral_position
 
@@ -71,9 +71,8 @@ def test_network_svg_k3():
 def test_network_svg_clique_only_drops_pendant():
     walk = [262.0, 330.0, 392.0, 262.0, 392.0, 988.0]  # triangle + pendant
     net = build_network(np.asarray(walk), GRID)
-    full = parse(svg_report.render_network_svg(net, clique_only=False))
-    clique = parse(svg_report.render_network_svg(net, clique_only=True))
-    assert len(find_all(full, "circle")) == 4
+    assert len(net.nodes) == 4
+    clique = parse(svg_report.render_network_svg(net))
     assert len(find_all(clique, "circle")) == 3
     assert len(find_all(clique, "circle")) == len(net.largest_clique)
     # pendant's mutual edges only: the triangle has 3, pendant edge dropped
@@ -112,38 +111,38 @@ def test_spiral_radius_orders_by_centrality():
                 assert radius[u.midi_lower] < radius[v.midi_lower]
 
 
-def random_corpus_comparison(n_pieces=3, seed=0):
+def random_corpus_report(n_pieces=3, seed=0):
     rng = np.random.default_rng(seed)
-    nets = {}
+    analyses = {}
     for i in range(n_pieces):
         freqs = np.exp(rng.uniform(np.log(60.0), np.log(2000.0), size=120))
-        nets[f"piece{i}"] = build_network(freqs, GRID)
-    return degree_correlation_matrix(nets)
+        analyses[f"piece{i}"] = (distfit.best_fit(freqs), build_network(freqs, GRID))
+    return corpus_report(analyses)
 
 
 def test_heatmap_cell_count_and_labels():
-    comp = random_corpus_comparison(3)
-    root = parse(svg_report.render_heatmap_svg(comp))
+    report = random_corpus_report(3)
+    root = parse(svg_report.render_heatmap_svg(report))
     cells = find_all(root, "rect", "cell")
     assert len(cells) == 9
     rows = [t.text for t in find_all(root, "text", "row-label")]
     cols = [t.text for t in find_all(root, "text", "col-label")]
-    assert rows == list(comp.piece_ids)
-    assert cols == list(comp.piece_ids)
+    assert rows == list(report.piece_ids)
+    assert cols == list(report.piece_ids)
     diag_texts = [t.text for t in find_all(root, "text") if t.text == "1.00"]
     assert len(diag_texts) >= 3
 
 
 def test_heatmap_null_cells_en_dash():
-    from soundnet.corpus import CorpusComparison
-
-    comp = CorpusComparison(
+    report = CorpusReport(
         piece_ids=("a", "b"),
         corr_matrix=[[1.0, None], [None, 1.0]],
         clique_histograms={},
         clique_sizes={},
+        summary_rows=[],
+        family_share={},
     )
-    root = parse(svg_report.render_heatmap_svg(comp))
+    root = parse(svg_report.render_heatmap_svg(report))
     texts = [t.text for t in find_all(root, "text")]
     assert "–" in texts
     gray = [r for r in find_all(root, "rect", "cell") if r.get("fill") == "#cccccc"]
@@ -151,17 +150,17 @@ def test_heatmap_null_cells_en_dash():
 
 
 def test_clique_bars_structure():
-    comp = random_corpus_comparison(3, seed=4)
-    root = parse(svg_report.render_clique_bars_svg(comp))
+    report = random_corpus_report(3, seed=4)
+    root = parse(svg_report.render_clique_bars_svg(report))
     bars = find_all(root, "rect", "bar")
     nonzero = sum(
-        1 for p in comp.piece_ids for b, c in comp.clique_histograms[p].items() if c > 0
+        1 for p in report.piece_ids for b, c in report.clique_histograms[p].items() if c > 0
     )
     assert len(bars) == nonzero
     # per-piece data-count attributes must sum to the clique size
-    for piece in comp.piece_ids:
+    for piece in report.piece_ids:
         total = sum(int(b.get("data-count")) for b in bars if b.get("data-piece") == piece)
-        assert total == comp.clique_sizes[piece]
+        assert total == report.clique_sizes[piece]
     labels = [t.text for t in find_all(root, "text", "bucket-label")]
     from soundnet.network import OCTAVE_BUCKETS
 
@@ -169,8 +168,8 @@ def test_clique_bars_structure():
 
 
 def test_all_renderers_deterministic():
-    comp = random_corpus_comparison(2, seed=9)
-    assert svg_report.render_heatmap_svg(comp) == svg_report.render_heatmap_svg(comp)
-    assert svg_report.render_clique_bars_svg(comp) == svg_report.render_clique_bars_svg(comp)
+    report = random_corpus_report(2, seed=9)
+    assert svg_report.render_heatmap_svg(report) == svg_report.render_heatmap_svg(report)
+    assert svg_report.render_clique_bars_svg(report) == svg_report.render_clique_bars_svg(report)
     net = build_network(np.asarray([262.0, 330.0, 392.0, 262.0]), GRID)
     assert svg_report.render_network_svg(net) == svg_report.render_network_svg(net)
