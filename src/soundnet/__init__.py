@@ -35,7 +35,6 @@ from .network import (
 from .spectral import (
     FrequencySequence,
     PeakParams,
-    SequenceMode,
     Spectrum,
     dft,
     extract_sequence_full,
@@ -52,7 +51,6 @@ __all__ = [
     "Spectrum",
     "PeakParams",
     "FrequencySequence",
-    "SequenceMode",
     "dft",
     "extract_sequence_full",
     "extract_sequence_stft",

@@ -106,7 +106,6 @@ def analyze_file(path, config: RunConfig):
         fit_report = None
         fit_dict = {"best": None, "n": len(seq), "families": {}, "error": str(exc)}
     net = network.build_network(seq, config.grid())
-    octaves = network.clique_octave_histogram(net.largest_clique)
 
     report = {
         "config": asdict(config),
@@ -114,11 +113,11 @@ def analyze_file(path, config: RunConfig):
         "sample_rate_hz": audio.sample_rate_hz,
         "n_samples": len(audio),
         "duration_s": audio.duration_s,
-        "mode": seq.mode.value,
+        "mode": config.mode,
         "sequence_length": len(seq),
         "fit": fit_dict,
         "network": network.network_to_dict(net),
-        "clique_octaves": octaves,
+        "clique_octaves": net.clique_octaves,
     }
     return report, fit_report, net, seq
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, NonFiniteValues
-from .network import OCTAVE_BUCKETS, SoundNetwork, clique_octave_histogram
+from .network import OCTAVE_BUCKETS, SoundNetwork
 
 ALIGN_UNION = "union"
 ALIGN_INTERSECTION = "intersection"
@@ -117,7 +117,7 @@ def corpus_report(analyses: dict, alignment: str = ALIGN_UNION) -> CorpusReport:
         raise ValueError("corpus_report needs at least one piece")
     pieces = tuple(analyses)
     networks = {p: analyses[p][1] for p in pieces}
-    histograms = {p: clique_octave_histogram(net.largest_clique) for p, net in networks.items()}
+    histograms = {p: net.clique_octaves for p, net in networks.items()}
     sizes = {p: len(net.largest_clique) for p, net in networks.items()}
     matrix = degree_correlation_matrix(networks, alignment=alignment) if len(pieces) >= 2 else None
 

@@ -82,9 +82,15 @@ def _midi_of(freqs: np.ndarray, grid: PitchGrid) -> np.ndarray:
     """Lower-note MIDI number of the bin containing each frequency.
 
     The floor of the log-ratio is nudged so the decision is anchored on the
-    note frequencies themselves, keeping lower-inclusive bounds exact.
+    note frequencies themselves, keeping lower-inclusive bounds exact. It is
+    first clipped to [MIDI_LOW - 1, MIDI_HIGH], which changes no in-grid
+    result: a frequency too low for a finite log-ratio (a subnormal) or far
+    outside the grid then lands just outside it, with no int64 wraparound and
+    no overflow in note_freq.
     """
-    m = np.floor(69.0 + 12.0 * np.log2(freqs / grid.a4_hz)).astype(np.int64)
+    with np.errstate(divide="ignore"):  # log2(0) = -inf where freqs / a4 underflows
+        m = np.floor(69.0 + 12.0 * np.log2(freqs / grid.a4_hz))
+    m = np.clip(m, MIDI_LOW - 1, MIDI_HIGH).astype(np.int64)
     m += freqs >= grid.note_freq(m + 1)
     m -= freqs < grid.note_freq(m)
     return m
@@ -115,7 +121,8 @@ class SoundNetwork:
     was built. `nodes` is stored in ascending MIDI order, which gives each
     node its rank. Adjacency is one Python-int bitmask per node, built from
     `edges`: bit j of the mask at rank i is set iff the bins of rank i and j
-    are joined. Degree centrality and the largest clique come from the masks.
+    are joined. Degree centrality and the largest clique come from the masks,
+    and the clique's octave histogram from the clique.
     Raises ValueError for two nodes with one MIDI number, and for an edge that
     is not (lo, hi) with lo < hi over the nodes' MIDI numbers.
     """
@@ -126,6 +133,7 @@ class SoundNetwork:
     dropped_components: int = 0
     degree_centrality: dict = field(init=False)  # midi -> deg/(N-1); empty when N == 1
     largest_clique: tuple = field(init=False)
+    clique_octaves: dict = field(init=False)  # see clique_octave_histogram
 
     def __post_init__(self):
         nodes = tuple(sorted(self.nodes, key=lambda b: b.midi_lower))
@@ -146,7 +154,9 @@ class SoundNetwork:
         object.__setattr__(self, "_masks", tuple(masks))
         centrality = {b.midi_lower: mask.bit_count() / (n - 1) for b, mask in zip(nodes, masks)} if n >= 2 else {}
         object.__setattr__(self, "degree_centrality", centrality)
-        object.__setattr__(self, "largest_clique", largest_clique(self))
+        clique = largest_clique(self)
+        object.__setattr__(self, "largest_clique", clique)
+        object.__setattr__(self, "clique_octaves", clique_octave_histogram(clique))
 
     @property
     def single_node(self) -> bool:

@@ -10,9 +10,9 @@ The STFT is one flat pass over the signal. Frames are strided views of the
 samples; each chunk of frames is windowed, transformed and turned into
 magnitudes in three buffers allocated once per call, and the peaks of the
 chunk are picked candidate-first: only the bins at or above their frame's
-relative threshold are tested for a strict rise and a strict fall, and only
-the frames where such a bin starts a plateau go through the full plateau
-rule. The whole-signal spectrum of the full mode uses the same picker.
+relative threshold are tested, for a strict rise and then a strict fall or,
+where a plateau starts, a fall at its next change within the frame. The
+whole-signal spectrum of the full mode uses the same picker.
 
 The full mode keeps only the non-negative-frequency half of its transform
 (the rfft half); Spectrum.bins builds the conjugate mirror on demand. Its
@@ -24,7 +24,6 @@ signals raise TransformTooLarge.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +39,6 @@ from .errors import EmptyInput, TransformTooLarge
 _CHUNK_FRAMES = 64
 MAX_FRAME_SIZE = 1 << 16
 MAX_FULL_FFT = 1 << 26
-
-
-class SequenceMode(enum.Enum):
-    FULL_SPECTRUM = "full"
-    STFT = "stft"
 
 
 @dataclass(frozen=True)
@@ -101,9 +95,7 @@ class FrequencySequence:
     """Ordered extracted frequency components in Hz (all strictly below Nyquist)."""
 
     values_hz: np.ndarray
-    mode: SequenceMode
     extraction_params: PeakParams
-    sample_rate_hz: float
 
     def __len__(self):
         return len(self.values_hz)
@@ -131,41 +123,15 @@ def dft(samples, sample_rate_hz: float = 1.0) -> Spectrum:
     return Spectrum(half=np.fft.rfft(x, n), n_fft=n, sample_rate_hz=sample_rate_hz)
 
 
-def _peak_mask(mag: np.ndarray) -> np.ndarray:
-    """Strict local maxima along axis 1; a plateau counts once, at its lowest index.
-
-    A peak is a sample strictly above its left neighbor whose next *change* to
-    the right is a descent, which handles runs of equal values exactly. The
-    first and last columns are never peaks.
-    """
-    rows, n = mag.shape
-    mask = np.zeros((rows, n), dtype=bool)
-    if n < 3:
-        return mask
-    d = np.sign(np.diff(mag, axis=1))
-    # next nonzero diff at-or-after each position (0 where the tail is flat)
-    nz = d
-    flat = d == 0
-    if flat.any():
-        src = np.where(flat, n - 1, np.arange(n - 1))
-        src = np.minimum.accumulate(src[:, ::-1], axis=1)[:, ::-1]
-        nz = np.take_along_axis(np.pad(d, ((0, 0), (0, 1))), src, axis=1)
-    mask[:, 1:-1] = (d[:, :-1] > 0) & (nz[:, 1:] < 0)
-    return mask
-
-
-def _local_maxima(mag: np.ndarray) -> np.ndarray:
-    """Indices of the strict local maxima of a 1-D array (see _peak_mask)."""
-    return np.flatnonzero(_peak_mask(np.asarray(mag)[None, :])[0])
-
-
 def _pick_peaks(mag: np.ndarray, rel_threshold: float):
     """Peaks of each row of half spectra (columns 0..N/2) at or above the row's relative threshold.
 
-    Returns (flat, row_max): flat indexes mag.ravel() in ascending order and
-    holds exactly the entries that `_peak_mask(mag) & (mag >= rel_threshold *
-    row_max[:, None])` marks; row_max is the maximum over columns [1, N/2),
-    where peaks lie.
+    A peak is a column strictly above its left neighbour whose next change
+    to the right, within its row, is a descent: a plateau counts once, at its
+    lowest column, and the first and last columns are never peaks. Only the
+    candidates, the columns at or above rel_threshold * row_max, are tested.
+    Returns (flat, row_max): flat indexes mag.ravel() in ascending order;
+    row_max is the maximum over columns [1, N/2), where peaks lie.
     """
     n = mag.shape[1]
     row_max = mag[:, 1:-1].max(axis=1, initial=0.0)
@@ -184,11 +150,14 @@ def _pick_peaks(mag: np.ndarray, rel_threshold: float):
     plateau = rise & (right == value)
     c += 1
     if plateau.any():
-        # a plateau is a peak iff its next change is a descent: settle those
-        # candidates with the full rule on their rows only
-        row, col = np.divmod(c[plateau], n)
-        rows = np.unique(row)
-        peak[plateau] = _peak_mask(mag[rows])[np.searchsorted(rows, row), col]
+        # a plateau starting at p ends before the first k >= p + 2 whose
+        # magnitude differs from the one before it (flat.size if none): p is a
+        # peak iff that k is still in p's row and is lower
+        p = c[plateau]
+        changes = np.append(np.flatnonzero(flat[1:] != flat[:-1]) + 1, flat.size)
+        k = changes[np.searchsorted(changes, p + 2)]
+        in_row = k < (p // n + 1) * n
+        peak[plateau] = in_row & (flat[np.where(in_row, k, p)] < flat[p])
     return c[peak], row_max
 
 
@@ -204,12 +173,7 @@ def extract_sequence_full(spectrum: Spectrum, params: PeakParams | None = None) 
     peaks, top = _pick_peaks(mag[None, :], params.rel_threshold)
     peaks = peaks[mag[peaks] >= top[0] * 10.0 ** (params.floor_db / 20.0)]
     values = peaks.astype(np.float64) * (spectrum.sample_rate_hz / spectrum.n_fft)
-    return FrequencySequence(
-        values_hz=values,
-        mode=SequenceMode.FULL_SPECTRUM,
-        extraction_params=params,
-        sample_rate_hz=spectrum.sample_rate_hz,
-    )
+    return FrequencySequence(values_hz=values, extraction_params=params)
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -275,9 +239,4 @@ def extract_sequence_stft(audio: AudioBuffer, params: PeakParams | None = None) 
     """Time-ordered frequency sequence: the stft_peak_frames peaks, frame by frame, in one array."""
     params = params or PeakParams()
     values, _counts = _stft_peaks(audio, params)
-    return FrequencySequence(
-        values_hz=values,
-        mode=SequenceMode.STFT,
-        extraction_params=params,
-        sample_rate_hz=audio.sample_rate_hz,
-    )
+    return FrequencySequence(values_hz=values, extraction_params=params)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,22 @@ def test_bin_of_rejects_nonpositive():
 def test_bin_of_rejects_non_finite(bad):
     with pytest.raises(NonFiniteValues):
         bin_of(bad, GRID)
+
+
+@pytest.mark.parametrize("a4_hz", [220.0, 440.0, 880.0])
+def test_extreme_frequencies_dropped_without_warnings(a4_hz):
+    # a subnormal has no finite log-ratio, the largest double overflows the
+    # note frequencies of its raw MIDI estimate: both are only off the grid
+    grid = PitchGrid(a4_hz)
+    tiny, huge = 5e-324, np.finfo(np.float64).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        net = build_network(np.array([tiny, a4_hz, huge, 2.0 * a4_hz, tiny]), grid)
+        assert bin_of(tiny, grid) is None
+        assert bin_of(huge, grid) is None
+    assert [b.midi_lower for b in net.nodes] == [69, 81]
+    assert net.edges == frozenset({(69, 81)})
+    assert net.dropped_components == 3
 
 
 def test_note_freq_anchor_exact():
@@ -282,6 +300,7 @@ def test_histogram_counts_sum_to_clique_size(rng):
     net = net_from(freqs)
     counts = clique_octave_histogram(net.largest_clique)
     assert sum(counts.values()) == len(net.largest_clique)
+    assert net.clique_octaves == counts
 
 
 # --- structural invariants ---------------------------------------------------------------------

@@ -86,10 +86,11 @@ def assert_frames_equal(got, want):
 @settings(max_examples=300, deadline=None)
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40), elements=st.integers(0, 3)))
 def test_peak_mask_matches_1d_picker_row_by_row(mag):
-    mask = spectral._peak_mask(mag)
-    for row, row_mask in zip(mag, mask):
-        assert np.array_equal(np.flatnonzero(row_mask), spectral._local_maxima(row))
-        assert np.array_equal(np.flatnonzero(row_mask), reference_maxima(row))
+    # below every positive magnitude, every possible peak is a candidate
+    peaks, _ = spectral._pick_peaks(mag, 1e-300)
+    row, col = np.divmod(peaks, mag.shape[1])
+    for r, values in enumerate(mag):
+        assert np.array_equal(col[row == r], reference_maxima(values))
 
 
 @settings(max_examples=150, deadline=None)
