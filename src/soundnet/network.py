@@ -85,14 +85,16 @@ def _midi_of(freqs: np.ndarray, grid: PitchGrid) -> np.ndarray:
     note frequencies themselves, keeping lower-inclusive bounds exact. It is
     first clipped to [MIDI_LOW - 1, MIDI_HIGH], which changes no in-grid
     result: a frequency too low for a finite log-ratio (a subnormal) or far
-    outside the grid then lands just outside it, with no int64 wraparound and
-    no overflow in note_freq.
+    outside the grid then lands just outside it, with no int64 wraparound.
+    The note frequencies come from one note_freq table over
+    MIDI_LOW - 1 ... MIDI_HIGH + 1, the same doubles as note_freq of each m.
     """
     with np.errstate(divide="ignore"):  # log2(0) = -inf where freqs / a4 underflows
         m = np.floor(69.0 + 12.0 * np.log2(freqs / grid.a4_hz))
     m = np.clip(m, MIDI_LOW - 1, MIDI_HIGH).astype(np.int64)
-    m += freqs >= grid.note_freq(m + 1)
-    m -= freqs < grid.note_freq(m)
+    notes = grid.note_freq(np.arange(MIDI_LOW - 1, MIDI_HIGH + 2))
+    m += freqs >= notes[m - (MIDI_LOW - 2)]
+    m -= freqs < notes[m - (MIDI_LOW - 1)]
     return m
 
 
@@ -202,11 +204,11 @@ def build_network(seq, grid: PitchGrid | None = None) -> SoundNetwork:
     # each undirected edge encoded once as lo * MIDI_HIGH + hi, lo < hi
     a, b = midis[:-1], midis[1:]
     keep = a != b
-    codes = np.unique(np.minimum(a[keep], b[keep]) * MIDI_HIGH + np.maximum(a[keep], b[keep]))
+    codes = np.flatnonzero(np.bincount(np.minimum(a[keep], b[keep]) * MIDI_HIGH + np.maximum(a[keep], b[keep])))
     lo, hi = np.divmod(codes, MIDI_HIGH)
     return SoundNetwork(
         grid=grid,
-        nodes=tuple(grid_bin(int(m), grid) for m in np.unique(midis)),
+        nodes=tuple(grid_bin(m, grid) for m in np.flatnonzero(np.bincount(midis)).tolist()),
         edges=frozenset(zip(lo.tolist(), hi.tolist())),
         dropped_components=dropped,
     )

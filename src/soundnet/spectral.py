@@ -86,8 +86,9 @@ class Spectrum:
         """All N complex bins: the half, then the conjugate mirror of bins N/2-1 down to 1."""
         return np.concatenate([self.half, np.conj(self.half[-2:0:-1])])
 
-    def bin_hz(self, k) -> float:
-        return k * self.sample_rate_hz / self.n_fft
+    def bin_hz(self, k):
+        """The frequency of bin k (a number or an array) in Hz."""
+        return k * (self.sample_rate_hz / self.n_fft)
 
 
 @dataclass(frozen=True)
@@ -172,8 +173,7 @@ def extract_sequence_full(spectrum: Spectrum, params: PeakParams | None = None) 
     mag = np.abs(spectrum.half)
     peaks, top = _pick_peaks(mag[None, :], params.rel_threshold)
     peaks = peaks[mag[peaks] >= top[0] * 10.0 ** (params.floor_db / 20.0)]
-    values = peaks.astype(np.float64) * (spectrum.sample_rate_hz / spectrum.n_fft)
-    return FrequencySequence(values_hz=values, extraction_params=params)
+    return FrequencySequence(values_hz=spectrum.bin_hz(peaks.astype(np.float64)), extraction_params=params)
 
 
 def hann_window(n: int) -> np.ndarray:

@@ -5,7 +5,8 @@ and against mpmath (where t = (x/scale)^c underflows, and where 1 - exp(-t)
 is close to 1); the profile's closed-form derivatives against finite
 differences; boundary fits on power-law samples and on the golden full-mode
 float32 piece; converged fits as stationary points no worse than scipy's
-Nelder-Mead; and the golden melodies' interior fits, pinned.
+Nelder-Mead; the pilot warm start on large samples against the search started
+cold; and the golden melodies' interior fits, pinned.
 """
 
 import math
@@ -317,6 +318,59 @@ def test_converged_fit_is_a_stationary_point_no_worse_than_the_simplex(x):
     exact_fit = _exact_profile(x, fit.shape_params[1], fit.scale)
     exact_simplex = _exact_profile(x, *np.exp(simplex.x))
     assert exact_fit <= exact_simplex + 1e-12 * abs(exact_simplex)
+
+
+# --- the pilot warm start ----------------------------------------------------------
+
+def _large_sample(kind, seed):
+    """A seeded sample of 32,768 to 60,000 values: big enough for the pilot."""
+    rng = np.random.default_rng([seed, 15])
+    n = int(rng.integers(distfit._PILOT_MIN_N, 60_000))
+    if kind == "exponential":
+        return rng.exponential(rng.uniform(1.0, 500.0), n)
+    if kind == "lognormal":
+        return rng.uniform(1.0, 500.0) * rng.lognormal(0.0, rng.uniform(0.2, 2.0), n)
+    if kind == "weibull":
+        return rng.uniform(1.0, 500.0) * rng.weibull(rng.uniform(0.3, 5.0), n)
+    if kind == "gamma":
+        return rng.gamma(rng.uniform(0.3, 10.0), rng.uniform(1.0, 500.0), n)
+    if kind == "expweib":
+        a, c, scale = rng.uniform(0.2, 20.0), rng.uniform(0.2, 5.0), rng.uniform(0.1, 1e3)
+        return stats.exponweib.rvs(a, c, scale=scale, size=n, random_state=rng)
+    lo = rng.uniform(0.0, 1e3)
+    return rng.uniform(lo, lo + rng.uniform(1.0, 1e4), n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["exponential", "lognormal", "weibull", "gamma", "expweib", "uniform"])
+def test_pilot_warm_start_keeps_the_cold_search_outcome(kind, seed):
+    x = _large_sample(kind, seed)
+    warm, warm_reason = distfit._fit_expweib(x)
+    cold, cold_reason = distfit._search_expweib(x, None)
+    assert warm_reason == cold_reason
+    if warm_reason is None:
+        warm_p = _profile_at(x, warm.shape_params[1], warm.scale)[0]
+        cold_p = _profile_at(x, cold.shape_params[1], cold.scale)[0]
+        assert warm_p <= cold_p + 1e-12 * abs(cold_p)
+
+
+def test_a_pilot_that_cannot_be_fitted_falls_back_to_the_cold_search():
+    # every pilot point is a tied 1.0, so the pilot's start divides by its zero
+    # spread; the full sample still has a fit, from the default start
+    x = np.ones(40_000)
+    x[-5:] = [2.0, 3.0, 4.0, 5.0, 6.0]
+    assert distfit._fit_expweib(x) == distfit._search_expweib(x, None)
+
+
+def test_pilot_runs_on_order_statistics_only_from_its_threshold(monkeypatch):
+    sizes = []
+    search = distfit._search_expweib
+    monkeypatch.setattr(distfit, "_search_expweib", lambda x, start: sizes.append(x.size) or search(x, start))
+    for n in (distfit._PILOT_MIN_N - 1, distfit._PILOT_MIN_N, 3 * distfit._PILOT_MIN_N - 1):
+        sizes.clear()
+        distfit._fit_expweib(_power_law(n, 1.0, 700.0, n))
+        k = n // distfit._PILOT_POINTS
+        assert sizes == ([n] if n < distfit._PILOT_MIN_N else [len(range(k // 2, n, k)), n])
 
 
 # --- golden melodies -----------------------------------------------------------

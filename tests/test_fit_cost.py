@@ -3,7 +3,8 @@
 The sequences are the six golden ones (three melodies, STFT and full mode)
 and one broadband recording: 10 s of seeded white noise as 16-bit mono WAV,
 recording 0 of the benchmark's `full_broadband` input set 0, whose full-mode
-sequence holds about 87k components.
+sequence holds about 87k components. Recordings 0-7 of input sets 0 and 1
+check the exponentiated-Weibull search's pilot warm start.
 """
 
 import numpy as np
@@ -13,23 +14,33 @@ from conftest import dense_ks, pcm16_payload, wav_bytes
 from soundnet import distfit
 from soundnet.cli import RunConfig, analyze_file
 from soundnet.distfit import ALL_FAMILIES, DistFamily
+from soundnet.errors import InvalidFit
 from test_golden import _write_corpus
 
 NOISE_RATE = 44100
+
+
+def _write_noise(path, input_set, recording):
+    """Recording `recording` of the benchmark's `full_broadband` input set `input_set`."""
+    noise = 0.2 * np.random.default_rng([input_set, 1 << 20, recording]).standard_normal(10 * NOISE_RATE)
+    codes = np.round(np.clip(noise, -1.0, 1.0) * 32767.0).astype(int)
+    path.write_bytes(wav_bytes(pcm16_payload(codes.tolist()), rate=NOISE_RATE))
+    return path
+
+
+def _full_mode_sequence(wav):
+    return np.asarray(analyze_file(wav, RunConfig(mode="full"))[3].values_hz)
 
 
 @pytest.fixture(scope="module")
 def sequences(tmp_path_factory):
     root = tmp_path_factory.mktemp("fit_cost")
     _write_corpus(root / "golden")
-    noise = 0.2 * np.random.default_rng([0, 1 << 20, 0]).standard_normal(10 * NOISE_RATE)
-    codes = np.round(np.clip(noise, -1.0, 1.0) * 32767.0).astype(int)
-    (root / "noise.wav").write_bytes(wav_bytes(pcm16_payload(codes.tolist()), rate=NOISE_RATE))
     seqs = {}
     for mode in ("stft", "full"):
         for wav in sorted((root / "golden").glob("*.wav")):
             seqs[f"{mode}/{wav.stem}"] = np.asarray(analyze_file(wav, RunConfig(mode=mode))[3].values_hz)
-    seqs["broadband"] = np.asarray(analyze_file(root / "noise.wav", RunConfig(mode="full"))[3].values_hz)
+    seqs["broadband"] = _full_mode_sequence(_write_noise(root / "noise.wav", 0, 0))
     return seqs
 
 
@@ -60,6 +71,25 @@ def test_expweib_fit_takes_at_most_40_profile_evaluations(sequences, monkeypatch
         assert len(calls) <= 40, name
 
 
+def test_expweib_fit_on_the_broadband_sequence_takes_at_most_4_full_sample_evaluations(sequences, monkeypatch):
+    # the pilot search on 4,096 order statistics ends near the point the full
+    # search reaches, so the full sample is evaluated only a few times
+    x = sequences["broadband"]
+    sizes = []
+    profile = distfit._expweib_profile
+    monkeypatch.setattr(distfit, "_expweib_profile", lambda lx, s, theta: sizes.append(lx.size) or profile(lx, s, theta))
+    distfit._fit_expweib(x)
+    assert sizes.count(x.size) <= 4
+
+
+def test_expweib_warm_start_keeps_the_cold_reason_on_noise_recordings(tmp_path):
+    for input_set in (0, 1):
+        for recording in range(8):
+            x = _full_mode_sequence(_write_noise(tmp_path / "noise.wav", input_set, recording))
+            assert x.size >= distfit._PILOT_MIN_N
+            assert distfit._fit_expweib(x)[1] == distfit._search_expweib(x, None)[1], (input_set, recording)
+
+
 def test_expweib_power_law_boundary_is_decided_without_leaving_the_c_bound(sequences, monkeypatch):
     # the power-law MLE decides the c side in closed form, so no evaluation lies past the bound
     log_cs = []
@@ -76,6 +106,15 @@ def test_expweib_fit_with_no_finite_start_fails_at_once(monkeypatch):
     report = distfit.best_fit(x)
     assert DistFamily.EXPONENTIATED_WEIBULL in report.failed
     assert len(calls) <= 1
+
+
+def test_expweib_fit_with_no_finite_start_fails_after_the_pilot_and_one_full_evaluation(monkeypatch):
+    # the pilot and the full sample both overflow their mean: one evaluation each
+    x = 1e307 * np.random.default_rng(3).uniform(1.0, 17.0, 40_000)
+    calls = _count_expweib_profiles(monkeypatch)
+    with pytest.raises(InvalidFit):
+        distfit.fit_mle(DistFamily.EXPONENTIATED_WEIBULL, x)
+    assert len(calls) <= 2
 
 
 def test_ks_evaluates_the_erf_based_cdfs_at_under_15_percent_of_a_broadband_sample(sequences, monkeypatch):

@@ -101,6 +101,28 @@ def test_grid_bin_hz_bit_identical_to_note_freq(a4_hz):
             assert np.float64(got).tobytes() == want.tobytes(), (a4_hz, m)
 
 
+def _midi_of_per_component(freqs, grid):
+    """_midi_of with note_freq evaluated over the whole array at each step."""
+    with np.errstate(divide="ignore"):
+        m = np.floor(69.0 + 12.0 * np.log2(freqs / grid.a4_hz))
+    m = np.clip(m, network.MIDI_LOW - 1, network.MIDI_HIGH).astype(np.int64)
+    m += freqs >= grid.note_freq(m + 1)
+    m -= freqs < grid.note_freq(m)
+    return m
+
+
+@pytest.mark.parametrize("a4_hz", [220.0, 415.0, 440.0, 443.7, 880.0])
+def test_midi_of_note_table_matches_note_freq_per_component(a4_hz, rng):
+    # every note frequency, its float neighbours, and log-uniform frequencies in
+    # and around the grid; a table entry must be the double note_freq gives
+    grid = PitchGrid(a4_hz)
+    notes = grid.note_freq(np.arange(network.MIDI_LOW - 1, network.MIDI_HIGH + 2))
+    freqs = np.concatenate(
+        [notes, np.nextafter(notes, 0.0), np.nextafter(notes, np.inf), np.exp(rng.uniform(0.0, 11.0, 50_000))]
+    )
+    assert np.array_equal(network._midi_of(freqs, grid), _midi_of_per_component(freqs, grid))
+
+
 def test_bin_partition_covers_grid(rng):
     freqs = np.exp(rng.uniform(np.log(GRID.low_hz), np.log(GRID.high_hz * 0.999), size=2_000))
     for f in freqs:

@@ -76,6 +76,18 @@ def test_full_extraction_pure_tone():
     assert abs(seq.values_hz[0] - 440.0) <= 0.17
 
 
+def test_full_extraction_reports_bin_hz_bit_for_bit():
+    # at 44.1 kHz, N = 1000 and k = 9, k * rate / N and k * (rate / N) differ in
+    # the last bit; the sequence and bin_hz share the second form
+    rate, n, k = 44100.0, 1000, 9
+    assert k * rate / n != k * (rate / n)
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half[k] = 1.0
+    spectrum = spectral.Spectrum(half=half, n_fft=n, sample_rate_hz=rate)
+    seq = spectral.extract_sequence_full(spectrum)
+    assert seq.values_hz.tolist() == [spectrum.bin_hz(k)] == [k * (rate / n)]
+
+
 def test_full_extraction_silence():
     seq = spectral.extract_sequence_full(spectral.dft(np.zeros(2048), 8000))
     assert len(seq) == 0
