@@ -10,10 +10,11 @@ shape a) and search over the rest.
 Gibrat here means a lognormal with the shape pinned at 1, i.e. density
 exp(-(log z)^2 / 2) / (z * sqrt(2*pi)) on z > 0. Its profile likelihood has
 one parameter, loc < min(x), and the score and its derivative have closed
-forms, so the fit is a safeguarded Newton root search on the score (bisecting
-whenever a Newton step would leave the bracket). A search that finds no root,
-as on samples tied at the minimum whose optimum lies closer to min(x) than a
-float can resolve, reports its last point with `converged` false.
+forms, so the fit is a safeguarded Newton root search on the score
+(_root_search, bisecting whenever a Newton step would leave the bracket). A
+search that finds no root, as on samples tied at the minimum whose optimum
+lies closer to min(x) than a float can resolve, reports its last point with
+`converged` false.
 
 The exponentiated-Weibull fit is a safeguarded Newton minimisation of the
 profile negative log-likelihood P over (log c, log scale), with closed-form
@@ -31,21 +32,19 @@ bound; the search stops there if P still falls toward larger c, when its
 next step is too short to move, and when a step that lowers P would leave
 the a bound. A boundary fit is reported at the last point inside the bounds
 with `converged` false and a `reason` naming the limit, so it cannot win
-best_fit. The c side has a closed form: the power law is the c -> inf limit
-and its MLE the supremum of that limit, so a stop whose P that MLE matches
-or beats is a power-law boundary fit, and one below it on the c bound with
-P still falling has left the bounds. The a side has none: the profile is
-evaluated at 10 and 100 times the a bound along the ray toward the Frechet
-law (_limit_ray); if it still improves at both, the fit is a Frechet
-boundary fit, and if not, the search left the bounds. A sample of n >= 32,768
-values is first searched on a pilot of its order statistics,
-sort(x)[k // 2 :: k] with k = n // 4,096 (4,096 to 4,608 points). The search
-on the full sample then starts at the pilot's last point, whatever its
-outcome, and decides every stop and reason on its own; on the benchmark's
-noise recordings the pilot takes 11-19 evaluations and the full sample 1-4.
-Such a fit reports the full search's last point reached from the pilot. A
-stop on the c bound, where P is nearly flat, can lie elsewhere than a cold
-search's (its KS D moved by up to 1.3e-3 on those recordings). The term
+best_fit. Both sides follow one rule: each limit family's MLE is the supremum
+of P along that limit, so a stop whose P it matches or beats is a boundary fit
+there. The power-law MLE has a closed form. The Frechet MLE, found only where
+a step leaves the a bound, has its scale in closed form and its shape from
+_root_search. A stop below both that leaves the a bound, or the c bound with P
+still falling, has left the bounds. A sample of n >= 32,768 values is first
+searched on a pilot of its order statistics, sort(x)[k // 2 :: k] with
+k = n // 4,096 (4,096 to 4,608 points). The search on the full sample then
+starts at the pilot's last point, whatever its outcome, and decides every stop
+and reason, and so the reported point, on its own; on the benchmark's noise
+recordings the pilot takes 11-19 evaluations and the full sample 1-4. A stop
+on the c bound, where P is nearly flat, can lie elsewhere than a cold search's
+(its KS D moved by up to 1.3e-3 on those recordings). The term
 log(1 - exp(-t)), t = (x/scale)^c, follows Maechler (2012, "Accurately
 computing log(1 - exp(-|a|))"): log(-expm1(-t)) up to t = log 2,
 log1p(-exp(-t)) above, and the asymptote w - t/2 where w = log t < -30, as t
@@ -79,7 +78,6 @@ BOUNDARY_A = "likelihood supremum at a → ∞, c → 0 (Fréchet limit)"
 OUT_OF_BOUNDS = "search left the shape bounds without a supremum on their boundary"
 EVAL_CAP = "exponentiated-Weibull Newton search hit its evaluation cap"
 ROOT_SEARCH_FAILED = "Gibrat location search found no root of the profile score"
-_RAY_FACTORS = (10.0, 100.0)
 # The exponentiated-Weibull search (_search_expweib) stops once its next step is
 # shorter than _STEP_TOL in (log c, log scale), and reports EVAL_CAP after
 # _EXPWEIB_MAX_EVALS profile evaluations. A fit on a golden sequence or on any of
@@ -97,10 +95,9 @@ _PILOT_MIN_N = 8 * _PILOT_POINTS
 _TAIL_W = -30.0
 _EXP_MIN = -700.0
 _LOG_2 = math.log(2.0)
-# The Gibrat location search (_fit_gibrat) ends at a root once the Newton step
+# _root_search (the Gibrat location, the Frechet shape) ends once the Newton step
 # or the bracket is shorter than _ROOT_TOL in v, and fails after _ROOT_MAX_EVALS
-# score evaluations or past |v| = _ROOT_MAX_V. Every golden and benchmark
-# sample ends within 11 evaluations.
+# score evaluations or past |v| = _ROOT_MAX_V; golden and benchmark Gibrat fits take <= 11.
 _ROOT_TOL = 1e-9
 _ROOT_MAX_EVALS = 60
 _ROOT_MAX_V = 700.0
@@ -149,7 +146,7 @@ class FittedDistribution:
 
     @property
     def param_count(self) -> int:
-        return len(self.shape_params) + 2
+        return len(self.shape_params) + 1 + (self.family in (DistFamily.NORMAL, DistFamily.EXPONENTIAL, DistFamily.GIBRAT))
 
     def params_list(self) -> list:
         return [*self.shape_params, self.loc, self.scale]
@@ -364,7 +361,7 @@ def _fit_powerlaw(x):
 
 
 def _gibrat_score(x, lo, spread, v):
-    """(dL/dv, d2L/dv2, loc, scale) of the Gibrat profile negative log-likelihood
+    """(dL/dv, d2L/dv2, (loc, scale)) of the Gibrat profile negative log-likelihood
     L at loc = lo - spread * exp(v), with the scale at its MLE there.
 
     With d = x - loc, r = spread / d and lz = log d - mean(log d),
@@ -382,28 +379,20 @@ def _gibrat_score(x, lo, spread, v):
     s1 = float(np.dot(r, 1.0 + lz))
     sr = float(np.sum(r))
     s2 = float(np.dot(r * r, lz))
-    return t * s1, t * s1 - t * t * (s2 + sr * sr / x.size), loc, math.exp(log_scale)
+    return t * s1, t * s1 - t * t * (s2 + sr * sr / x.size), (loc, math.exp(log_scale))
 
 
-def _fit_gibrat(x):
-    # For a fixed loc the scale's MLE is the geometric mean of x - loc. The
-    # profile L(loc) goes to +inf as loc -> min(x) and as loc -> -inf, so its
-    # score changes sign around a minimum: bracket that root in
-    # v = log((min(x) - loc) / (max(x) - min(x))), then close in on it with
-    # Newton steps, bisecting whenever one would leave the bracket.
-    lo = float(x.min())
-    spread = float(x.max()) - lo
-    v = math.log(0.1)  # the start, loc = lo - 0.1 (max - min)
-    g, h, loc, scale = _gibrat_score(x, lo, spread, v)
-
-    def fit(reason=None):
-        return FittedDistribution(DistFamily.GIBRAT, (), float(loc), float(scale)), reason
-
+def _root_search(score, v):
+    """(state at the last finite point, found) of the search from v for the root of
+    a score g, negative below it and positive above; score(v) = (g, dg/dv, state).
+    The step away from v doubles until g changes sign, then Newton steps close in,
+    bisecting whenever one would leave the bracket."""
+    g, h, state = score(v)
     if not math.isfinite(g):
-        return fit(ROOT_SEARCH_FAILED)
+        return state, False
     evals = 1
     below = above = None  # the nearest points either side of the root, score < 0 and > 0
-    edge = False  # `below` is where loc rounds to min(x) and the profile is +inf
+    edge = False  # `below` is the edge of the domain, where the score is not finite
     step = -1.0 if g > 0.0 else 1.0
     while True:
         if g < 0.0:
@@ -411,48 +400,39 @@ def _fit_gibrat(x):
         elif g > 0.0:
             above = v
         else:
-            break
+            return state, True
         if below is None or above is None:  # step away from the start, doubling the step
             nxt = v + step
             step *= 2.0
             if abs(nxt) > _ROOT_MAX_V:
-                return fit(ROOT_SEARCH_FAILED)
+                return state, False
         else:
             newton = v - g / h if h > 0.0 else math.nan
             if abs(newton - v) <= _ROOT_TOL:
-                break
+                return state, True
             if above - below <= _ROOT_TOL:
-                # a bracket closed on the point where loc reaches min(x) holds no root
-                return fit(ROOT_SEARCH_FAILED if edge else None)
+                return state, not edge
             nxt = newton if below < newton < above else 0.5 * (below + above)
         if evals >= _ROOT_MAX_EVALS:
-            return fit(ROOT_SEARCH_FAILED)
+            return state, False
         evals += 1
-        at_nxt = _gibrat_score(x, lo, spread, nxt)
+        at_nxt = score(nxt)
         if math.isfinite(at_nxt[0]):
-            v, (g, h, loc, scale) = nxt, at_nxt
+            v, (g, h, state) = nxt, at_nxt
         elif nxt < v:
             below, edge = nxt, True
         else:
-            return fit(ROOT_SEARCH_FAILED)
-    return fit()
+            return state, False
 
 
-def _limit_ray(params, a, lx, factor):
-    """Search coordinates (log c, log scale) on the ray from `params` toward the
-    Frechet limit, where a is `factor` times its bound.
-
-    With t = exp(c (log x - log scale)) and m = mean(log x), log(-log F) is
-    about log a - t = kappa - alpha (log x - m) + O(c), so c falls while
-    kappa = log a - t(m) and alpha = c t(m) are held, until
-    log a = kappa + alpha / c reaches log(factor * EXPWEIB_MAX_A).
-    """
-    c, log_scale = math.exp(params[0]), float(params[1])
-    mid = float(lx.mean())
-    t_mid = math.exp(c * (mid - log_scale))
-    kappa, alpha = math.log(a) - t_mid, c * t_mid
-    c_ray = alpha / (math.log(factor * EXPWEIB_MAX_A) - kappa)
-    return np.array([math.log(c_ray), mid - math.log(alpha / c_ray) / c_ray])
+def _fit_gibrat(x):
+    # For a fixed loc the scale's MLE is the geometric mean of x - loc. The profile
+    # L(loc) goes to +inf as loc -> min(x) and as loc -> -inf, so its score changes
+    # sign around a minimum in v = log((min(x) - loc) / (max(x) - min(x))).
+    lo = float(x.min())
+    spread = float(x.max()) - lo
+    (loc, scale), found = _root_search(lambda v: _gibrat_score(x, lo, spread, v), math.log(0.1))
+    return FittedDistribution(DistFamily.GIBRAT, (), float(loc), float(scale)), None if found else ROOT_SEARCH_FAILED
 
 
 def _expweib_profile(lx, sum_lx, theta):
@@ -540,12 +520,13 @@ def _search_expweib(x, start):
         c, scale = np.exp(theta)
         return FittedDistribution(DistFamily.EXPONENTIATED_WEIBULL, (float(a), float(c)), 0.0, float(scale)), reason
 
-    def settle():
-        # the power law is the family's c -> inf limit and its MLE the supremum of
-        # that limit: a point it matches or beats is a power-law boundary fit, and
-        # one below it on the c bound, with P still falling, lies past the bound
+    def settle(left_a=False):
+        # a stop whose P the power-law (c -> inf) or Frechet (a -> inf) MLE matches
+        # or beats is a boundary fit at that limit, the supremum of P along it
         if value >= _powerlaw_limit_nll(x.size, sum_lx, float(lx.max())):
             return fit_at(BOUNDARY_C)
+        if left_a:
+            return fit_at(BOUNDARY_A if value >= _frechet_limit_nll(lx, sum_lx) else OUT_OF_BOUNDS)
         return fit_at(OUT_OF_BOUNDS if theta[0] >= p_max and grad[0] < 0.0 else None)
 
     evals = 1
@@ -563,9 +544,8 @@ def _search_expweib(x, start):
             if at_trial[0] <= value:
                 break
             step *= 0.5
-        if at_trial[1] > EXPWEIB_MAX_A:  # the descent leaves the a bound: does P keep falling toward the Frechet law?
-            ray = [_expweib_profile(lx, sum_lx, _limit_ray(theta, a, lx, f))[0] for f in _RAY_FACTORS]
-            return fit_at(BOUNDARY_A if value > ray[0] > ray[1] else OUT_OF_BOUNDS)
+        if at_trial[1] > EXPWEIB_MAX_A:  # the descent leaves the a bound, toward the Frechet law
+            return settle(left_a=True)
         theta, (value, a, grad, hess) = trial, at_trial
     return settle()
 
@@ -575,6 +555,31 @@ def _powerlaw_limit_nll(n, sum_lx, log_top):
     sum_lz = sum_lx - n * log_top
     k = -n / sum_lz
     return -(n * (math.log(k) - log_top) + (k - 1.0) * sum_lz)
+
+
+def _frechet_score(lx, sum_lx, u):
+    """(dL/du, d2L/du2, L) of the Frechet profile negative log-likelihood L, strictly
+    convex in the shape alpha = e^u, at loc 0 and the scale's MLE sigma^alpha =
+    n / sum(x^-alpha): dL/dalpha = sum(log x) - n / alpha - n m and d2L/dalpha2 =
+    n / alpha^2 + n var, m and var being the mean and variance of log x weighted by
+    x^-alpha, taken as exp(-alpha (log x - min log x)) so that none overflows."""
+    n, alpha, lo = lx.size, math.exp(u), float(lx.min())
+    d = lx - lo
+    w = np.exp(-alpha * d)
+    sw = float(np.sum(w))
+    m = float(np.dot(w, d)) / sw
+    var = float(np.dot(w, (d - m) ** 2)) / sw
+    sum_d = sum_lx - n * lo
+    g = alpha * (sum_d - n * m) - n
+    nll = n * (math.log(sw) - u - math.log(n) + 1.0) + sum_lx + alpha * sum_d
+    return g, g + n + n * alpha * alpha * var, nll
+
+
+def _frechet_limit_nll(lx, sum_lx):
+    """Negative log-likelihood of the Frechet MLE (loc 0), or the larger one at the root
+    search's last point; it starts where log x's Gumbel law (scale 1 / alpha) has std(log x)."""
+    u0 = math.log(math.pi / (math.sqrt(6.0) * float(lx.std())))
+    return _root_search(lambda u: _frechet_score(lx, sum_lx, u), u0)[0]
 
 
 _FITTERS = {
@@ -723,9 +728,9 @@ def _kolmogorov_q(lam: float) -> float:
 
 
 def best_fit(samples) -> FitReport:
-    """Fit all seven families, KS-score each, and pick the converged fit with
-    the smallest D (ties: fewer parameters, then family name). A family whose
-    fit is an InvalidFit goes to `failed`."""
+    """Fit all seven families, KS-score each, and pick the converged fit with the
+    smallest D (ties: fewer free parameters, counting the shapes, the scale and a
+    fitted loc, then family name). An InvalidFit family goes to `failed`."""
     x = _check_samples(samples)
     x_sorted = np.sort(x)
     per_family = {}

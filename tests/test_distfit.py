@@ -393,6 +393,27 @@ def test_best_fit_runs_all_seven_families(rng):
     assert not report.failed
 
 
+def test_param_count_counts_free_parameters_only():
+    # loc is fitted only by the normal, exponential and Gibrat families; the others fix it at 0
+    draws = np.random.default_rng(2).lognormal(size=500)
+    report = distfit.best_fit(draws)
+    counts = {fam: ff.dist.param_count for fam, ff in report.per_family.items()}
+    assert counts == {fam: 3 if fam is DistFamily.EXPONENTIATED_WEIBULL else 2 for fam in ALL_FAMILIES}
+
+
+def test_a_ks_tie_goes_to_fewer_free_parameters_then_to_the_name(monkeypatch):
+    # the lognormal (shape, scale) and the normal (loc, scale) tie on D and on
+    # free parameters, so the name decides
+    ks_sorted = distfit._ks_sorted
+
+    def tied(fit, x):
+        ks = ks_sorted(fit, x)
+        return distfit.KsResult(0.0, 1.0, ks.n) if fit.family in (DistFamily.NORMAL, DistFamily.LOG_NORMAL) else ks
+
+    monkeypatch.setattr(distfit, "_ks_sorted", tied)
+    assert distfit.best_fit(np.random.default_rng(2).lognormal(size=500)).best is DistFamily.LOG_NORMAL
+
+
 def test_best_fit_all_failed(monkeypatch):
     def boom(x):
         raise ValueError("forced failure")

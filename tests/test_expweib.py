@@ -4,7 +4,8 @@ Log-space density and CDF against scipy (where its arithmetic is still exact)
 and against mpmath (where t = (x/scale)^c underflows, and where 1 - exp(-t)
 is close to 1); the profile's closed-form derivatives against finite
 differences; boundary fits on power-law samples and on the golden full-mode
-float32 piece; converged fits as stationary points no worse than scipy's
+float32 piece, each decided against its limit family's MLE (the Frechet MLE
+against scipy's); converged fits as stationary points no worse than scipy's
 Nelder-Mead; the pilot warm start on large samples against the search started
 cold; and the golden melodies' interior fits, pinned.
 """
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from soundnet import distfit, spectral
 from soundnet.audio_io import decode_wav
@@ -192,6 +193,95 @@ def test_leaving_the_bounds_without_a_boundary_supremum(monkeypatch):
     fit, reason = distfit._fit_expweib(x)
     assert reason == distfit.OUT_OF_BOUNDS
     assert 1.5 < fit.shape_params[1] <= 2.0
+
+
+def _frechet_survey_sample(seed):
+    """Sample `seed` of a survey of Frechet laws: n in [20, 3000), shape in [0.5, 5), scale 100."""
+    g = np.random.default_rng([seed, 9])
+    n = g.integers(20, 3000)
+    return stats.invweibull.rvs(g.uniform(0.5, 5.0), scale=100.0, size=n, random_state=g)
+
+
+def _scipy_frechet_nll(x):
+    """The Frechet MLE's negative log-likelihood (loc 0) by scipy: the smaller of
+    invweibull.fit's and a Brent search over the shape, with the scale's MLE
+    sigma^alpha = n / sum(x^-alpha) at each shape."""
+    lx = np.log(x)
+
+    def nll(u):
+        alpha = math.exp(u)
+        scale = math.exp((math.log(x.size) - special.logsumexp(-alpha * lx)) / alpha)
+        return -float(np.sum(stats.invweibull.logpdf(x, alpha, 0.0, scale)))
+
+    shape, _, scale = stats.invweibull.fit(x, floc=0.0)
+    brent = optimize.minimize_scalar(nll, bracket=(math.log(shape) - 0.1, math.log(shape) + 0.1))
+    return min(-float(np.sum(stats.invweibull.logpdf(x, shape, 0.0, scale))), brent.fun)
+
+
+@pytest.mark.parametrize("seed, n", [(438, 252), (561, 849)])
+def test_an_a_bound_stop_below_the_frechet_mle_has_left_the_bounds(seed, n):
+    # the search leaves the a bound at a point whose P lies 0.46-0.51 nats below
+    # the Frechet MLE's NLL, so the a -> inf limit is not the supremum there
+    x = _frechet_survey_sample(seed)
+    assert x.size == n
+    fit, reason = distfit._fit_expweib(x)
+    assert reason == distfit.OUT_OF_BOUNDS
+    assert fit.shape_params[0] <= distfit.EXPWEIB_MAX_A
+    assert _profile_at(x, fit.shape_params[1], fit.scale)[0] < _scipy_frechet_nll(x) - 0.4
+
+
+@pytest.mark.parametrize("seed", range(0, 600, 60))
+def test_frechet_root_search_finds_the_mle_no_worse_than_scipy(seed):
+    x = _frechet_survey_sample(seed)
+    lx = np.log(x)
+    sum_lx = float(np.sum(lx))
+    nll, found = distfit._root_search(lambda u: distfit._frechet_score(lx, sum_lx, u), 0.0)
+    assert found
+    ref = _scipy_frechet_nll(x)
+    assert nll <= ref + 1e-12 * abs(ref)
+    assert distfit._frechet_limit_nll(lx, sum_lx) == pytest.approx(nll, rel=1e-12)
+
+
+@pytest.mark.parametrize("u", [-1.0, 0.3, 1.5])
+def test_frechet_score_matches_finite_differences_and_scipy(u):
+    x = _frechet_survey_sample(7)
+    lx = np.log(x)
+    sum_lx = float(np.sum(lx))
+    g, h, nll = distfit._frechet_score(lx, sum_lx, u)
+    e = 1e-5
+    up, down = distfit._frechet_score(lx, sum_lx, u + e), distfit._frechet_score(lx, sum_lx, u - e)
+    assert (up[2] - down[2]) / (2 * e) == pytest.approx(g, rel=1e-6, abs=1e-6 * x.size)
+    assert (up[0] - down[0]) / (2 * e) == pytest.approx(h, rel=1e-6, abs=1e-6 * x.size)
+    alpha = math.exp(u)
+    scale = (x.size / np.sum(x**-alpha)) ** (1.0 / alpha)
+    assert nll == pytest.approx(-np.sum(stats.invweibull.logpdf(x, alpha, 0.0, scale)), rel=1e-12)
+
+
+@st.composite
+def boundary_samples(draw):
+    """Seeded Frechet, uniform and power-law samples."""
+    kind = draw(st.sampled_from(["frechet", "uniform", "powerlaw"]))
+    n = draw(st.integers(20, 3000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "frechet":
+        rng = np.random.default_rng(seed)
+        return stats.invweibull.rvs(draw(st.floats(0.5, 5.0)), scale=draw(st.floats(0.1, 1e4)), size=n, random_state=rng)
+    k = 1.0 if kind == "uniform" else draw(st.floats(0.3, 5.0))
+    return _power_law(n, k, draw(st.floats(1.0, 1e4)), seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(boundary_samples())
+@example(_frechet_survey_sample(438))
+def test_a_boundary_fit_is_matched_or_beaten_by_its_limit_familys_mle(x):
+    fit, reason = distfit._fit_expweib(x)
+    p = _profile_at(x, fit.shape_params[1], fit.scale)[0]
+    if reason == distfit.BOUNDARY_A:
+        ref = _scipy_frechet_nll(x)
+        assert p >= ref - 1e-10 * abs(ref)
+    elif reason == distfit.BOUNDARY_C:
+        ref = -float(np.sum(stats.powerlaw.logpdf(x, -x.size / np.sum(np.log(x / x.max())), 0.0, x.max())))
+        assert p >= ref - 1e-10 * abs(ref)
 
 
 # --- the Newton search -----------------------------------------------------------

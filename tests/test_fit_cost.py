@@ -4,7 +4,8 @@ The sequences are the six golden ones (three melodies, STFT and full mode)
 and one broadband recording: 10 s of seeded white noise as 16-bit mono WAV,
 recording 0 of the benchmark's `full_broadband` input set 0, whose full-mode
 sequence holds about 87k components. Recordings 0-7 of input sets 0 and 1
-check the exponentiated-Weibull search's pilot warm start.
+check the exponentiated-Weibull search's pilot warm start, and seeded Frechet
+samples the Frechet MLE's root search at stops on its a bound.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from soundnet import distfit
 from soundnet.cli import RunConfig, analyze_file
 from soundnet.distfit import ALL_FAMILIES, DistFamily
 from soundnet.errors import InvalidFit
+from test_expweib import _frechet_survey_sample
 from test_golden import _write_corpus
 
 NOISE_RATE = 44100
@@ -62,13 +64,28 @@ def _count_expweib_profiles(monkeypatch):
 
 
 def test_expweib_fit_takes_at_most_40_profile_evaluations(sequences, monkeypatch):
-    # each evaluation gives P with its gradient and Hessian; the count includes
-    # the two ray points that confirm a Frechet (a-bound) boundary fit
+    # each evaluation gives P with its gradient and Hessian
     calls = _count_expweib_profiles(monkeypatch)
     for name, x in sequences.items():
         calls.clear()
         distfit._fit_expweib(x)
         assert len(calls) <= 40, name
+
+
+def test_frechet_mle_takes_at_most_20_score_evaluations_per_a_bound_stop(sequences, monkeypatch):
+    # the Frechet MLE decides a stop that leaves the a bound; it is found only there
+    calls = []
+    score = distfit._frechet_score
+    monkeypatch.setattr(distfit, "_frechet_score", lambda *args: calls.append(1) or score(*args))
+    samples = {"full/c_float32": sequences["full/c_float32"]}
+    samples.update((f"frechet/{seed}", _frechet_survey_sample(seed)) for seed in (0, 3, 6, 438, 561))
+    for name, x in samples.items():
+        calls.clear()
+        assert distfit._search_expweib(x, None)[1] in (distfit.BOUNDARY_A, distfit.OUT_OF_BOUNDS), name
+        assert 0 < len(calls) <= 20, name
+    calls.clear()
+    assert distfit._fit_expweib(sequences["broadband"])[1] == distfit.BOUNDARY_C
+    assert not calls
 
 
 def test_expweib_fit_on_the_broadband_sequence_takes_at_most_4_full_sample_evaluations(sequences, monkeypatch):
