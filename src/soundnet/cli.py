@@ -35,8 +35,8 @@ from .errors import (
 
 ENV_OUT = "SOUNDNET_OUT"
 
-# RunConfig annotation -> accepted value types; a whole number is a valid float,
-# and the last type parses the field's command-line flag
+# RunConfig annotation -> accepted value types; a whole number is a valid float
+# (RunConfig stores it as one), and the last type parses the field's command-line flag
 _FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
 # RunConfig fields with a closed set of values
 _CHOICES = {"mode": ("stft", "full"), "alignment": (corpus_mod.ALIGN_UNION, corpus_mod.ALIGN_INTERSECTION)}
@@ -53,6 +53,17 @@ class RunConfig:
     floor_db: float = spectral.PeakParams.floor_db
     alignment: str = corpus_mod.ALIGN_UNION
     out: str = "."
+
+    def __post_init__(self):
+        # a whole number for a float field, as a JSON config file gives it, is stored
+        # as that float so reports echo it as the flag does; a bool is left to validate()
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and type(value) is int:
+                try:
+                    object.__setattr__(self, f.name, float(value))
+                except OverflowError:
+                    raise ValueError(f"{f.name} {value} is out of the float range") from None
 
     def peak_params(self) -> spectral.PeakParams:
         return spectral.PeakParams(

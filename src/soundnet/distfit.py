@@ -3,6 +3,8 @@
 Every family is expressed in loc-scale form (z = (x - loc) / scale) so fitted
 parameters read as the usual (loc, scale) pair, with any shape parameters in
 front. Closed-form estimators are used wherever the likelihood admits them.
+Each family is one _Family record in _FAMILIES: fitter, pdf, CDF, support
+rule (checked once, in _fit) and whether loc is fitted or fixed at 0.
 The Gibrat and exponentiated-Weibull fits profile out the parameter with a
 closed-form conditional MLE (the Gibrat scale, the exponentiated-Weibull
 shape a) and search over the rest.
@@ -135,10 +137,10 @@ class FittedDistribution:
     scale: float
 
     def pdf(self, x):
-        return _DENSITIES[self.family][0](np.asarray(x, dtype=np.float64), self.shape_params, self.loc, self.scale)
+        return _FAMILIES[self.family].pdf(np.asarray(x, dtype=np.float64), self.shape_params, self.loc, self.scale)
 
     def cdf(self, x):
-        return _DENSITIES[self.family][1](np.asarray(x, dtype=np.float64), self.shape_params, self.loc, self.scale)
+        return _FAMILIES[self.family].cdf(np.asarray(x, dtype=np.float64), self.shape_params, self.loc, self.scale)
 
     def loglike(self, samples) -> float:
         with np.errstate(divide="ignore"):
@@ -146,7 +148,7 @@ class FittedDistribution:
 
     @property
     def param_count(self) -> int:
-        return len(self.shape_params) + 1 + (self.family in (DistFamily.NORMAL, DistFamily.EXPONENTIAL, DistFamily.GIBRAT))
+        return len(self.shape_params) + 1 + _FAMILIES[self.family].fits_loc
 
     def params_list(self) -> list:
         return [*self.shape_params, self.loc, self.scale]
@@ -309,24 +311,7 @@ def _gibrat(f):
     return lambda x, _shapes, loc, scale: f(x, (1.0,), loc, scale)
 
 
-# family -> (pdf, cdf), each called as f(x, shape_params, loc, scale)
-_DENSITIES = {
-    DistFamily.NORMAL: (_normal_pdf, _normal_cdf),
-    DistFamily.LOG_NORMAL: (_lognormal_pdf, _lognormal_cdf),
-    DistFamily.EXPONENTIAL: (_exponential_pdf, _exponential_cdf),
-    DistFamily.PARETO: (_pareto_pdf, _pareto_cdf),
-    DistFamily.GIBRAT: (_gibrat(_lognormal_pdf), _gibrat(_lognormal_cdf)),
-    DistFamily.POWER_LAW: (_powerlaw_pdf, _powerlaw_cdf),
-    DistFamily.EXPONENTIATED_WEIBULL: (_expweib_pdf, _expweib_cdf),
-}
-
-
 # --- maximum-likelihood fitters ----------------------------------------------
-
-def _require_positive(x, family):
-    if x.min() <= 0.0:
-        raise ValueError(f"{family.value} requires strictly positive samples")
-
 
 def _fit_normal(x):
     return FittedDistribution(DistFamily.NORMAL, (), float(x.mean()), float(x.std())), None
@@ -338,23 +323,17 @@ def _fit_exponential(x):
 
 
 def _fit_lognormal(x):
-    _require_positive(x, DistFamily.LOG_NORMAL)
     lx = np.log(x)
-    return (
-        FittedDistribution(DistFamily.LOG_NORMAL, (float(lx.std()),), 0.0, float(np.exp(lx.mean()))),
-        None,
-    )
+    return FittedDistribution(DistFamily.LOG_NORMAL, (float(lx.std()),), 0.0, float(np.exp(lx.mean()))), None
 
 
 def _fit_pareto(x):
-    _require_positive(x, DistFamily.PARETO)
     scale = float(x.min())
     b = x.size / float(np.sum(np.log(x / scale)))
     return FittedDistribution(DistFamily.PARETO, (b,), 0.0, scale), None
 
 
 def _fit_powerlaw(x):
-    _require_positive(x, DistFamily.POWER_LAW)
     scale = float(x.max())
     a = -x.size / float(np.sum(np.log(x / scale)))
     return FittedDistribution(DistFamily.POWER_LAW, (a,), 0.0, scale), None
@@ -484,7 +463,6 @@ def _fit_expweib(x):
     # for a fixed (c, scale) the MLE of the shape a is -n / sum(log(1 - exp(-z^c))),
     # so the search is over theta = (log c, log scale) alone; on a large sample it
     # starts where a search on _PILOT_POINTS of its order statistics ended
-    _require_positive(x, DistFamily.EXPONENTIATED_WEIBULL)
     start = None
     if x.size >= _PILOT_MIN_N:
         k = x.size // _PILOT_POINTS
@@ -582,14 +560,28 @@ def _frechet_limit_nll(lx, sum_lx):
     return _root_search(lambda u: _frechet_score(lx, sum_lx, u), u0)[0]
 
 
-_FITTERS = {
-    DistFamily.NORMAL: _fit_normal,
-    DistFamily.LOG_NORMAL: _fit_lognormal,
-    DistFamily.EXPONENTIAL: _fit_exponential,
-    DistFamily.PARETO: _fit_pareto,
-    DistFamily.GIBRAT: _fit_gibrat,
-    DistFamily.POWER_LAW: _fit_powerlaw,
-    DistFamily.EXPONENTIATED_WEIBULL: _fit_expweib,
+@dataclass(frozen=True)
+class _Family:
+    """One candidate family: `fit(x)` returns its (FittedDistribution, reason);
+    `pdf` and `cdf` are called as f(x, shape_params, loc, scale); `positive`
+    means the support needs every sample > 0, which _fit checks before `fit`
+    runs; `fits_loc` means loc is fitted, not fixed at 0."""
+
+    fit: object
+    pdf: object
+    cdf: object
+    positive: bool
+    fits_loc: bool
+
+
+_FAMILIES = {
+    DistFamily.NORMAL: _Family(_fit_normal, _normal_pdf, _normal_cdf, False, True),
+    DistFamily.LOG_NORMAL: _Family(_fit_lognormal, _lognormal_pdf, _lognormal_cdf, True, False),
+    DistFamily.EXPONENTIAL: _Family(_fit_exponential, _exponential_pdf, _exponential_cdf, False, True),
+    DistFamily.PARETO: _Family(_fit_pareto, _pareto_pdf, _pareto_cdf, True, False),
+    DistFamily.GIBRAT: _Family(_fit_gibrat, _gibrat(_lognormal_pdf), _gibrat(_lognormal_cdf), False, True),
+    DistFamily.POWER_LAW: _Family(_fit_powerlaw, _powerlaw_pdf, _powerlaw_cdf, True, False),
+    DistFamily.EXPONENTIATED_WEIBULL: _Family(_fit_expweib, _expweib_pdf, _expweib_cdf, True, False),
 }
 
 
@@ -605,13 +597,16 @@ def _check_samples(samples) -> np.ndarray:
 
 
 def _fit(family: DistFamily, x: np.ndarray):
-    """The family's (fit, reason); InvalidFit if the fitter raises ValueError or
-    ArithmeticError (with its message), or if a parameter is not finite or the
-    scale is not positive."""
+    """The family's (fit, reason); InvalidFit if x leaves a positive family's
+    support, if the fitter raises ValueError or ArithmeticError (with its
+    message), or if a parameter is not finite or the scale is not positive."""
+    record = _FAMILIES[family]
+    if record.positive and x.min() <= 0.0:
+        raise InvalidFit(f"{family.value} requires strictly positive samples")
     try:
         with np.errstate(all="ignore"):  # magnitudes near the float64 limits; the checks below judge the result
-            fit, reason = _FITTERS[family](x)
-    except (ValueError, ArithmeticError) as exc:  # samples off the support, or magnitudes the arithmetic cannot take
+            fit, reason = record.fit(x)
+    except (ValueError, ArithmeticError) as exc:  # magnitudes the arithmetic cannot take
         raise InvalidFit(str(exc)) from exc
     params = fit.params_list()
     if not (np.isfinite(params).all() and fit.scale > 0.0):
@@ -755,7 +750,10 @@ def best_fit(samples) -> FitReport:
 
 def report_to_dict(report: FitReport) -> dict:
     """JSON-ready view of a FitReport: params are [shape..., loc, scale]; an
-    unconverged fit also carries its `reason`."""
+    unconverged fit also carries its `reason`. `ks_p` is the asymptotic
+    Kolmogorov p-value for a fully specified null. The parameters are estimated
+    from the same sample, so it is biased upward (Lilliefors 1967, JASA
+    62(318)) and serves as a comparative score."""
     families = {}
     for family, ff in report.per_family.items():
         families[family.value] = {

@@ -12,6 +12,8 @@ the curve count checkable. In network figures <circle> is used for nodes only
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .corpus import CorpusReport
@@ -182,10 +184,7 @@ def render_network_svg(net: SoundNetwork) -> bytes:
     width, height = max_x - min_x, max_y - min_y
     body = [f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="#ffffff"/>']
 
-    drawn_midis = set(pos)
-    for a, b in sorted(net.edges):
-        if a not in drawn_midis or b not in drawn_midis:
-            continue
+    for a, b in itertools.combinations(sorted(pos), 2):  # the clique's members are pairwise adjacent
         pa, pb = pos[a], pos[b]
         body.append(
             f'<line x1="{_f(tx(pa))}" y1="{_f(ty(pa))}" x2="{_f(tx(pb))}" y2="{_f(ty(pb))}" '

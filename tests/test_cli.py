@@ -237,6 +237,28 @@ def test_config_file_values_converted_like_flags(tmp_path):
     assert report["config"]["a4_hz"] == 440
 
 
+def test_whole_numbers_from_a_config_file_echo_as_the_default_floats(tmp_path):
+    wav = write_melody(tmp_path / "m.wav", seed=64, seconds=3.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a4_hz": 440, "floor_db": -60}))
+    out = tmp_path / "out"
+    assert main(["analyze", str(wav), "--config", str(cfg), "--out", str(out)]) == 0
+    from_config = (out / "m.json").read_bytes()
+    assert main(["analyze", str(wav), "--out", str(out)]) == 0
+    assert from_config == (out / "m.json").read_bytes()
+
+
+def test_run_config_stores_whole_numbers_of_float_fields_as_floats():
+    config = RunConfig(a4_hz=440, floor_db=-60, rel_threshold=1)
+    assert [type(v) for v in (config.a4_hz, config.floor_db, config.rel_threshold)] == [float] * 3
+    assert config == RunConfig(a4_hz=440.0, floor_db=-60.0, rel_threshold=1.0)
+    assert type(RunConfig(frame_size=1024).frame_size) is int
+    with pytest.raises(ValueError):
+        RunConfig(a4_hz=True).validate()
+    with pytest.raises(ValueError):
+        RunConfig(floor_db=-(10**400))
+
+
 @pytest.mark.parametrize(
     "text",
     [

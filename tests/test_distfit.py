@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ def test_ks_statistic_matches_scipy(rng):
 def test_ks_loc_scale_equivariance(rng):
     draws = rng.normal(3.0, 2.0, size=200)
     for family in (DistFamily.NORMAL, DistFamily.EXPONENTIAL, DistFamily.GIBRAT):
-        fit = distfit._FITTERS[family](np.abs(draws) + 0.5)[0]
+        fit = distfit._FAMILIES[family].fit(np.abs(draws) + 0.5)[0]
         base = distfit.ks_test(fit, np.abs(draws) + 0.5).statistic_d
         a, b = 3.5, 11.0
         moved = FittedDistribution(family, fit.shape_params, a * fit.loc + b, a * fit.scale)
@@ -197,7 +198,7 @@ def test_ks_loc_scale_equivariance(rng):
 
 def _fitted_instances(rng):
     x = rng.lognormal(mean=1.2, sigma=0.7, size=5_000) + 0.5
-    return [distfit._FITTERS[family](x)[0] for family in ALL_FAMILIES]
+    return [distfit._FAMILIES[family].fit(x)[0] for family in ALL_FAMILIES]
 
 
 def test_pdf_nonnegative_cdf_monotone(rng):
@@ -243,7 +244,7 @@ def test_pdf_cdf_match_scipy_conventions(rng):
 def test_fit_is_local_likelihood_optimum(rng):
     x = rng.lognormal(mean=1.0, sigma=0.6, size=2_000) + 1.0
     for family in ALL_FAMILIES:
-        fit = distfit._FITTERS[family](x)[0]
+        fit = distfit._FAMILIES[family].fit(x)[0]
         base = fit.loglike(x)
         probe_rng = np.random.default_rng(99)
         for _ in range(100):
@@ -346,9 +347,9 @@ def ks_cases(draw):
     family = draw(st.sampled_from(ALL_FAMILIES))
     try:
         with np.errstate(all="ignore"):
-            fit = distfit._FITTERS[family](x)[0]
+            fit = distfit._FAMILIES[family].fit(x)[0]
     except (ValueError, ZeroDivisionError):
-        fit = distfit._FITTERS[DistFamily.NORMAL](x)[0]
+        fit = distfit._FAMILIES[DistFamily.NORMAL].fit(x)[0]
     shift = draw(st.sampled_from([0.0, 0.0, -3.0, 3.0, -50.0, 50.0]))
     fit = FittedDistribution(fit.family, fit.shape_params, fit.loc + shift * fit.scale, fit.scale)
     return fit, np.sort(x)
@@ -401,6 +402,38 @@ def test_param_count_counts_free_parameters_only():
     assert counts == {fam: 3 if fam is DistFamily.EXPONENTIATED_WEIBULL else 2 for fam in ALL_FAMILIES}
 
 
+_POSITIVE_FAMILIES = (DistFamily.LOG_NORMAL, DistFamily.PARETO, DistFamily.POWER_LAW, DistFamily.EXPONENTIATED_WEIBULL)
+# seeded samples off the positive families' support: one with negative values, one whose minimum is 0
+_NON_POSITIVE_SAMPLES = [
+    np.random.default_rng(7).normal(1.0, 2.0, 500),
+    np.append(np.random.default_rng(8).exponential(10.0, 499), 0.0),
+]
+
+
+@pytest.mark.parametrize("x", _NON_POSITIVE_SAMPLES)
+def test_best_fit_fails_exactly_the_positive_families_on_values_at_or_below_zero(x):
+    assert x.min() <= 0.0
+    report = distfit.best_fit(x)
+    assert report.failed == {fam: f"{fam.value} requires strictly positive samples" for fam in _POSITIVE_FAMILIES}
+    assert set(report.per_family) == {DistFamily.NORMAL, DistFamily.EXPONENTIAL, DistFamily.GIBRAT}
+
+
+@pytest.mark.parametrize("x", _NON_POSITIVE_SAMPLES)
+def test_fit_mle_rejects_values_at_or_below_zero_only_for_the_positive_families(x):
+    for family in _POSITIVE_FAMILIES:
+        with pytest.raises(InvalidFit, match=f"^{family.value} requires strictly positive samples$"):
+            distfit.fit_mle(family, x)
+    for family in (DistFamily.NORMAL, DistFamily.EXPONENTIAL, DistFamily.GIBRAT):
+        assert distfit.fit_mle(family, x).family is family
+
+
+def test_family_table_covers_every_family_and_says_which_fit_loc():
+    assert set(distfit._FAMILIES) == set(DistFamily)
+    x = np.random.default_rng(9).lognormal(1.0, 0.6, 500) + 0.5
+    for family, record in distfit._FAMILIES.items():
+        assert (distfit.fit_mle(family, x).loc == 0.0) is not record.fits_loc, family
+
+
 def test_a_ks_tie_goes_to_fewer_free_parameters_then_to_the_name(monkeypatch):
     # the lognormal (shape, scale) and the normal (loc, scale) tie on D and on
     # free parameters, so the name decides
@@ -418,7 +451,7 @@ def test_best_fit_all_failed(monkeypatch):
     def boom(x):
         raise ValueError("forced failure")
 
-    monkeypatch.setattr(distfit, "_FITTERS", {fam: boom for fam in ALL_FAMILIES})
+    monkeypatch.setattr(distfit, "_FAMILIES", {fam: replace(rec, fit=boom) for fam, rec in distfit._FAMILIES.items()})
     with pytest.raises(distfit.AllFitsFailed):
         distfit.best_fit(np.linspace(1.0, 9.0, 40))
 

@@ -8,6 +8,8 @@ check the exponentiated-Weibull search's pilot warm start, and seeded Frechet
 samples the Frechet MLE's root search at stops on its a bound.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,9 +142,9 @@ def test_ks_evaluates_the_erf_based_cdfs_at_under_15_percent_of_a_broadband_samp
     report = distfit.best_fit(x)
     x_sorted = np.sort(x)
     for family in (DistFamily.NORMAL, DistFamily.LOG_NORMAL, DistFamily.GIBRAT):
-        pdf, cdf = distfit._DENSITIES[family]
+        cdf = distfit._FAMILIES[family].cdf
         points = []
-        monkeypatch.setitem(distfit._DENSITIES, family, (pdf, lambda v, *rest, cdf=cdf: points.append(v.size) or cdf(v, *rest)))
+        monkeypatch.setitem(distfit._FAMILIES, family, replace(distfit._FAMILIES[family], cdf=lambda v, *rest, cdf=cdf: points.append(v.size) or cdf(v, *rest)))
         distfit._ks_sorted(report.per_family[family].dist, x_sorted)
         assert sum(points) < 0.15 * x.size, family
 
