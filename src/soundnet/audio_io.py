@@ -34,7 +34,6 @@ class AudioBuffer:
 
     samples: np.ndarray
     sample_rate_hz: int
-    source_path: str = ""
     duration_s: float = field(init=False)
 
     def __post_init__(self):
@@ -71,7 +70,7 @@ def decode_wav(path) -> AudioBuffer:
         np.clip(samples, -1.0, 1.0, out=samples)
     else:
         samples = _decode_pcm(data, offset, len(raw), fmt)
-    return AudioBuffer(samples=samples, sample_rate_hz=fmt.sample_rate, source_path=str(path))
+    return AudioBuffer(samples=samples, sample_rate_hz=fmt.sample_rate)
 
 
 def write_wav_float32(path, samples, sample_rate_hz: int) -> None:

@@ -44,6 +44,10 @@ _CHOICES = {"mode": ("stft", "full"), "alignment": (corpus_mod.ALIGN_UNION, corp
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The analysis settings, which every report echoes. Each field is checked
+    when the config is made: a wrong type, an unknown choice or a value that
+    PeakParams or PitchGrid rejects raises ValueError."""
+
     mode: str = "stft"
     a4_hz: float = network.PitchGrid.a4_hz
     frame_size: int = spectral.PeakParams.frame_size
@@ -55,15 +59,21 @@ class RunConfig:
     out: str = "."
 
     def __post_init__(self):
-        # a whole number for a float field, as a JSON config file gives it, is stored
-        # as that float so reports echo it as the flag does; a bool is left to validate()
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.name in _CHOICES and value not in _CHOICES[f.name]:
+                raise ValueError(f"unknown {f.name} {value!r}")
+            # a whole number for a float field, as a JSON config file gives it, is
+            # stored as that float so reports echo it as the flag does
             if f.type == "float" and type(value) is int:
                 try:
                     object.__setattr__(self, f.name, float(value))
                 except OverflowError:
                     raise ValueError(f"{f.name} {value} is out of the float range") from None
+        self.peak_params()
+        self.grid()
 
     def peak_params(self) -> spectral.PeakParams:
         return spectral.PeakParams(
@@ -76,17 +86,6 @@ class RunConfig:
 
     def grid(self) -> network.PitchGrid:
         return network.PitchGrid(a4_hz=self.a4_hz)
-
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
-        for name, choices in _CHOICES.items():
-            if getattr(self, name) not in choices:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
-        self.peak_params()
-        self.grid()
 
 
 def _dump_json(path: Path, payload: dict) -> None:
@@ -272,8 +271,11 @@ def _pool_size(text: str) -> int:
     return jobs
 
 
-# RunConfig fields whose flag is not --<field-name>: (flag, help)
-_FLAGS = {"a4_hz": ("--a4", "A4 reference in Hz")}
+# RunConfig fields whose flag is not --<field-name> or that have help text: (flag, help)
+_FLAGS = {
+    "a4_hz": ("--a4", "A4 reference in Hz"),
+    "out": ("--out", f"output directory (default ${ENV_OUT} or {RunConfig.out})"),
+}
 
 
 def _build_parser():
@@ -283,12 +285,10 @@ def _build_parser():
     def add_config_flags(p):
         p.add_argument("--config", help="JSON file with default flag values (flags override)")
         for f in fields(RunConfig):
-            if f.name == "out":
-                continue  # its default is read from the environment first, in _config_from_args
             flag, help_text = _FLAGS.get(f.name, ("--" + f.name.replace("_", "-"), None))
             parse = _FIELD_TYPES[f.type][-1]
-            p.add_argument(flag, dest=f.name, type=parse, choices=_CHOICES.get(f.name), default=f.default, help=help_text)
-        p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or {RunConfig.out})")
+            default = os.environ.get(ENV_OUT, f.default) if f.name == "out" else f.default
+            p.add_argument(flag, dest=f.name, type=parse, choices=_CHOICES.get(f.name), default=default, help=help_text)
 
     p_analyze = sub.add_parser("analyze", help="analyze one WAV file")
     p_analyze.add_argument("file")
@@ -320,15 +320,6 @@ def _load_config(parser, path: str) -> dict:
     return loaded
 
 
-def _config_from_args(args) -> RunConfig:
-    values = {key: getattr(args, key) for key in _CONFIG_KEYS}
-    if values["out"] is None:
-        values["out"] = os.environ.get(ENV_OUT, RunConfig.out)
-    config = RunConfig(**values)
-    config.validate()
-    return config
-
-
 def main(argv=None) -> int:
     parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
@@ -338,7 +329,7 @@ def main(argv=None) -> int:
         subparsers[args.command].set_defaults(**_load_config(parser, args.config))
         args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = RunConfig(**{key: getattr(args, key) for key in _CONFIG_KEYS})
     except ValueError as exc:
         parser.error(str(exc))
     if args.command == "analyze":

@@ -651,8 +651,6 @@ def _ks_sorted(fit: FittedDistribution, x: np.ndarray) -> KsResult:
     """ks_test on a sample that is already sorted ascending."""
     n = x.size
     d = _ks_d_blocked(fit.cdf, x)
-    if d is None:
-        d = _ks_d(fit.cdf(x), np.arange(n, dtype=np.float64), n)
     lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
     return KsResult(statistic_d=d, p_value=_kolmogorov_q(lam), n=n)
 
@@ -671,23 +669,25 @@ _KS_SLACK = 1e-12
 
 def _ks_d_blocked(cdf, x):
     """The KS statistic D of the sorted sample x, with the CDF evaluated only
-    where the maximum can be; None if the CDF values at the block ends are not
-    finite and non-decreasing.
+    where the maximum can be.
 
     With F non-decreasing, every rank j strictly inside the block [j0, j1] has
     (j + 1)/n - F(x_j) <= j1/n - F(x_j0) and F(x_j) - j/n <= F(x_j1) - (j0 + 1)/n.
     Blocks whose bound falls short of the largest deviation at the block ends
     are skipped; D is the maximum over the exactly evaluated ranks, the same
-    float as the dense formula gives.
+    float as the dense formula gives. If the CDF values at the block ends are
+    not finite and non-decreasing, the bound does not hold and every block is
+    evaluated.
     """
     n = x.size
     ends = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)
     f_ends = cdf(x[ends])
-    if not (np.isfinite(f_ends).all() and (np.diff(f_ends) >= 0.0).all()):
-        return None
     j_ends = ends.astype(np.float64)
     d = _ks_d(f_ends, j_ends, n)
-    bound = np.maximum(j_ends[1:] / n - f_ends[:-1], f_ends[1:] - (j_ends[:-1] + 1.0) / n)
+    if np.isfinite(f_ends).all() and (np.diff(f_ends) >= 0.0).all():
+        bound = np.maximum(j_ends[1:] / n - f_ends[:-1], f_ends[1:] - (j_ends[:-1] + 1.0) / n)
+    else:
+        bound = np.full(ends.size - 1, np.inf)
     starts = ends[:-1][bound >= d - _KS_SLACK]
     j = (starts[:, None] + np.arange(1, _KS_BLOCK)).ravel()
     j = j[j < n - 1]

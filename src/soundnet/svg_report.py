@@ -66,12 +66,14 @@ def _f(v) -> str:
 
 
 def _document(width, height, body: list) -> bytes:
+    """The SVG text: header, a white background rect, then the body elements."""
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_f(width)}" height="{_f(height)}" viewBox="0 0 {_f(width)} {_f(height)}">'
     )
-    return ("\n".join([head, *body, "</svg>"]) + "\n").encode("utf-8")
+    background = f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="#ffffff"/>'
+    return ("\n".join([head, background, *body, "</svg>"]) + "\n").encode("utf-8")
 
 
 # --- figure: histogram + fitted PDF / ECDF + fitted CDF -----------------------
@@ -88,7 +90,6 @@ def render_fit_svg(samples, fit_report: FitReport) -> bytes:
     top = 70.0
     left1, left2 = 60.0, 550.0
     body = [
-        f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="#ffffff"/>',
         f'<text x="{_f(width / 2)}" y="32" text-anchor="middle" font-size="18" {_FONT}>'
         f"best fit: {_esc(fit_report.best.value)}  "
         f"(d={best.ks.statistic_d:.3e}, p={best.ks.p_value:.3f}, n={fit_report.sample_n})</text>",
@@ -182,7 +183,7 @@ def render_network_svg(net: SoundNetwork) -> bytes:
         return p[1] - min_y
 
     width, height = max_x - min_x, max_y - min_y
-    body = [f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="#ffffff"/>']
+    body = []
 
     for a, b in itertools.combinations(sorted(pos), 2):  # the clique's members are pairwise adjacent
         pa, pb = pos[a], pos[b]
@@ -234,7 +235,7 @@ def render_heatmap_svg(report: CorpusReport) -> bytes:
     left, top = 170.0, 40.0
     width = left + n * cell + 40.0
     height = top + n * cell + 150.0
-    body = [f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="#ffffff"/>']
+    body = []
 
     for i in range(n):
         for j in range(n):
@@ -298,7 +299,6 @@ def render_clique_bars_svg(report: CorpusReport) -> bytes:
     unit = plot_h / max(max_count, 1)
 
     body = [
-        f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="#ffffff"/>',
         f'<text x="{_f(width / 2)}" y="26" text-anchor="middle" font-size="16" {_FONT}>'
         f"largest-clique composition by octave range</text>",
     ]

@@ -252,9 +252,9 @@ def test_run_config_stores_whole_numbers_of_float_fields_as_floats():
     config = RunConfig(a4_hz=440, floor_db=-60, rel_threshold=1)
     assert [type(v) for v in (config.a4_hz, config.floor_db, config.rel_threshold)] == [float] * 3
     assert config == RunConfig(a4_hz=440.0, floor_db=-60.0, rel_threshold=1.0)
-    assert type(RunConfig(frame_size=1024).frame_size) is int
+    assert type(RunConfig(frame_size=1024, hop=512).frame_size) is int
     with pytest.raises(ValueError):
-        RunConfig(a4_hz=True).validate()
+        RunConfig(a4_hz=True)
     with pytest.raises(ValueError):
         RunConfig(floor_db=-(10**400))
 
@@ -349,6 +349,17 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
     assert (target / "m.json").exists()
 
 
+def test_out_precedence_flag_then_config_file_then_env_var(tmp_path, monkeypatch):
+    wav = write_melody(tmp_path / "m.wav", seed=61)
+    monkeypatch.setenv("SOUNDNET_OUT", str(tmp_path / "a"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "b")}))
+    assert main(["analyze", str(wav), "--config", str(cfg), *MELODY_FLAGS]) == 0
+    assert (tmp_path / "b" / "m.json").exists() and not (tmp_path / "a").exists()
+    assert main(["analyze", str(wav), "--config", str(cfg), "--out", str(tmp_path / "c"), *MELODY_FLAGS]) == 0
+    assert (tmp_path / "c" / "m.json").exists() and not (tmp_path / "a").exists()
+
+
 def test_selftest_command(capsys):
     assert main(["selftest", "--seed", "42"]) == 0
     out = capsys.readouterr().out
@@ -403,11 +414,11 @@ def test_run_config_defaults_are_the_stage_defaults():
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
-        RunConfig(mode="wavelet").validate()
+        RunConfig(mode="wavelet")
     with pytest.raises(ValueError):
-        RunConfig(frame_size=1000).validate()
+        RunConfig(frame_size=1000)
     with pytest.raises(ValueError):
-        RunConfig(a4_hz=-2.0).validate()
+        RunConfig(a4_hz=-2.0)
     for bad in (
         {"a4_hz": float("nan")},
         {"a4_hz": float("inf")},
@@ -417,8 +428,10 @@ def test_run_config_validation():
         {"top_k": 2.5},
         {"hop": 512.5},
         {"frame_size": True},
+        {"alignment": "bogus"},
+        {"out": 3},
     ):
         with pytest.raises(ValueError):
-            RunConfig(**bad).validate()
-    RunConfig().validate()
-    RunConfig(floor_db=float("-inf"), a4_hz=440).validate()  # no floor; a whole-number A4
+            RunConfig(**bad)
+    RunConfig()
+    RunConfig(floor_db=float("-inf"), a4_hz=440)  # no floor; a whole-number A4

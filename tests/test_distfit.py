@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -362,6 +363,39 @@ def test_blocked_ks_equals_the_dense_formula(case):
     with np.errstate(all="ignore"):
         got, want = distfit._ks_sorted(fit, x_sorted), dense_ks(fit, x_sorted)
     assert got == want or (math.isnan(got.statistic_d) and math.isnan(want.statistic_d))
+
+
+def _stub_ks_case(edit):
+    """A seeded sorted sample of 1,000 values and a logistic-CDF stub whose
+    values are changed by edit(f, v, x) before they are returned."""
+    x = np.sort(np.random.default_rng(20).normal(size=1000))
+
+    def cdf(v):
+        f = 1.0 / (1.0 + np.exp(-v))
+        edit(f, v, x)
+        return f
+
+    return SimpleNamespace(cdf=cdf), x
+
+
+def test_blocked_ks_evaluates_every_block_where_the_cdf_falls_at_a_block_end():
+    def dip(f, v, x):  # falls at the block end x[128]; the deepest deviation lies inside the block before it
+        f[(v > x[100]) & (v < x[128])] -= 0.3
+        f[v == x[128]] -= 0.2
+
+    stub, x = _stub_ks_case(dip)
+    assert (np.diff(stub.cdf(x[[64, 128]])) < 0.0).all()
+    got = distfit._ks_sorted(stub, x)
+    assert got == dense_ks(stub, x)
+    assert got.statistic_d > distfit._ks_d(stub.cdf(x[::64]), np.arange(0, 1000, 64, dtype=np.float64), 1000)
+
+
+def test_blocked_ks_is_not_finite_where_the_cdf_is_nan_at_a_block_end():
+    def hole(f, v, x):
+        f[v == x[64]] = np.nan
+
+    stub, x = _stub_ks_case(hole)
+    assert not math.isfinite(distfit._ks_sorted(stub, x).statistic_d)
 
 
 # --- best_fit -------------------------------------------------------------------
