@@ -5,7 +5,7 @@ statistical distributions with KS scoring, map the frequency sequence onto an
 equal-tempered pitch-bin graph, and compare pieces across a corpus.
 """
 
-from .audio_io import AudioBuffer, decode_wav, write_wav_float32, write_wav_int16
+from .audio_io import AudioBuffer, decode_wav
 from .corpus import (
     CorpusReport,
     corpus_report,
@@ -29,7 +29,6 @@ from .network import (
     bin_of,
     build_network,
     clique_octave_histogram,
-    degree_centrality,
     largest_clique,
 )
 from .spectral import (
@@ -46,8 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AudioBuffer",
     "decode_wav",
-    "write_wav_float32",
-    "write_wav_int16",
     "Spectrum",
     "PeakParams",
     "FrequencySequence",
@@ -67,7 +64,6 @@ __all__ = [
     "SoundNetwork",
     "bin_of",
     "build_network",
-    "degree_centrality",
     "largest_clique",
     "clique_octave_histogram",
     "spearman",

@@ -73,19 +73,6 @@ def decode_wav(path) -> AudioBuffer:
     return AudioBuffer(samples=samples, sample_rate_hz=fmt.sample_rate)
 
 
-def write_wav_float32(path, samples, sample_rate_hz: int) -> None:
-    """Write mono samples as a 32-bit IEEE float WAV (lossless for float32 data)."""
-    payload = np.asarray(samples, dtype="<f4").tobytes()
-    _write_wav(path, payload, sample_rate_hz, format_code=_FORMAT_IEEE_FLOAT, bits=32)
-
-
-def write_wav_int16(path, samples, sample_rate_hz: int) -> None:
-    """Write mono samples as 16-bit PCM, clipping to [-1, 1] first."""
-    clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
-    codes = np.round(clipped * 32767.0).astype("<i2")
-    _write_wav(path, codes.tobytes(), sample_rate_hz, format_code=_FORMAT_PCM, bits=16)
-
-
 @dataclass(frozen=True)
 class _FmtChunk:
     format_code: int
@@ -176,18 +163,3 @@ def _decode_pcm(data: bytes, offset: int, length: int, fmt: _FmtChunk) -> np.nda
         codes = np.add(codes[0::2], codes[1::2], dtype=np.int64 if fmt.bits == 32 else np.int32)
     return codes / float(2 ** (fmt.bits - 1) * fmt.channels)
 
-
-def _write_wav(path, payload: bytes, rate: int, format_code: int, bits: int) -> None:
-    width = bits // 8
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack("<IHHIIHH", 16, format_code, 1, rate, rate * width, width, bits),
-            b"data",
-            struct.pack("<I", len(payload)),
-        ]
-    )
-    Path(path).write_bytes(header + payload)

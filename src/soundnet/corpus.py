@@ -47,8 +47,8 @@ def spearman(x, y) -> float:
     correlation) or the lengths disagree, and NonFiniteValues when either
     holds NaN or an infinite value.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
     if x.size != y.size or x.size < 2:
         raise DegenerateInput("spearman needs two equally sized vectors of length >= 2")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):

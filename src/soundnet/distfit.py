@@ -586,7 +586,7 @@ _FAMILIES = {
 
 
 def _check_samples(samples) -> np.ndarray:
-    x = np.asarray(samples, dtype=np.float64)
+    x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < MIN_SAMPLES:
         raise InsufficientData(f"need at least {MIN_SAMPLES} samples, got {x.size}")
     if not np.isfinite(x).all():
@@ -639,7 +639,7 @@ def ks_test(fit: FittedDistribution, samples) -> KsResult:
     p = Q_KS(lambda) with lambda = (sqrt(n) + 0.12 + 0.11/sqrt(n)) * D.
     Raises NonFiniteValues when the sample holds NaN or an infinite value.
     """
-    x = np.sort(np.asarray(samples, dtype=np.float64))
+    x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     if x.size < 1:
         raise ValueError("ks_test needs at least one sample")
     if not np.isfinite(x).all():

@@ -80,10 +80,6 @@ class EmptyNetwork(SoundnetError):
     """No in-range frequency components left to build a network from."""
 
 
-class SingleNode(SoundnetError):
-    """Degree centrality is undefined on a one-node network."""
-
-
 # --- corpus comparison ---
 
 class DegenerateInput(SoundnetError):

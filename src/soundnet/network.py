@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyNetwork, NonFiniteValues, NonPositiveFrequency, SingleNode
+from .errors import EmptyNetwork, NonFiniteValues, NonPositiveFrequency
 
 PITCH_CLASS_NAMES = ("C", "C♯", "D", "D♯", "E", "F", "F♯", "G", "G♯", "A", "A♯", "B")
 
@@ -167,19 +167,14 @@ class SoundNetwork:
     def node_by_midi(self, midi: int) -> PitchBin:
         return self.nodes[self._rank[midi]]
 
-    def adjacency(self) -> dict:
-        adj = {b.midi_lower: set() for b in self.nodes}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
 
 def build_network(seq, grid: PitchGrid | None = None) -> SoundNetwork:
     """Build the network of sounds from a frequency sequence.
 
     Out-of-range components are removed (and counted) before pairing, so the
-    neighbors of a dropped component become adjacent in the sequence.
+    neighbors of a dropped component become adjacent in the sequence. An
+    ascending sequence, such as extract_sequence_full returns, gives a path:
+    N - 1 edges, no degree above 2, and the two lowest bins as the clique.
     Raises NonFiniteValues on a NaN or infinite component, NonPositiveFrequency
     on one at or below 0 Hz, and EmptyNetwork when nothing maps onto the grid.
     """
@@ -212,16 +207,6 @@ def build_network(seq, grid: PitchGrid | None = None) -> SoundNetwork:
         edges=frozenset(zip(lo.tolist(), hi.tolist())),
         dropped_components=dropped,
     )
-
-
-def degree_centrality(net: SoundNetwork) -> dict:
-    """deg(v) / (N - 1) per node, keyed by lower-note MIDI number.
-
-    Raises SingleNode for N == 1, where the ratio is undefined.
-    """
-    if len(net.nodes) < 2:
-        raise SingleNode("degree centrality is undefined on a single-node network")
-    return dict(net.degree_centrality)
 
 
 def largest_clique(net: SoundNetwork) -> tuple:

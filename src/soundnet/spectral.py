@@ -168,6 +168,8 @@ def extract_sequence_full(spectrum: Spectrum, params: PeakParams | None = None) 
     Candidates are strict local maxima of |y[k]| for k in [1, N/2) passing
     both the relative and dB floors (measured against the maximum over that
     same positive-frequency range). Silence yields an empty sequence.
+    Because the peaks ascend, build_network joins only neighbouring occupied
+    bins, so a full-mode network is a path: N - 1 edges, no degree above 2.
     """
     params = params or PeakParams()
     mag = np.abs(spectrum.half)
@@ -180,9 +182,16 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
 
 
-def _stft_peaks(audio: AudioBuffer, params: PeakParams):
-    """(values, counts): every frame's kept peak frequencies in one flat array, frame
-    by frame, and the number each frame kept. See stft_peak_frames."""
+def extract_sequence_stft(audio: AudioBuffer, params: PeakParams | None = None) -> FrequencySequence:
+    """Time-ordered frequency sequence: each frame's peaks, frame by frame, in one array.
+
+    Hann-windowed frames at the configured hop; only complete frames are
+    taken, except that a signal shorter than one frame is zero-padded to a
+    single frame. Each frame keeps at most top_k strict local maxima passing
+    the per-frame relative threshold and the global dB floor, in descending
+    magnitude (lower bin first on ties).
+    """
+    params = params or PeakParams()
     if len(audio) == 0:
         raise EmptyInput("cannot analyze an empty buffer")
     size, hop = params.frame_size, params.hop
@@ -197,7 +206,7 @@ def _stft_peaks(audio: AudioBuffer, params: PeakParams):
     magnitude = np.empty((chunk, size // 2 + 1))
 
     global_max = 0.0
-    rows, bins, mags = [], [], []  # per frame, its top_k peaks, strongest first
+    bins, mags = [], []  # per frame, its top_k peaks, strongest first
     for start in range(0, len(frames), chunk):
         block = frames[start : start + chunk]
         win, spec, mag = (buf[: len(block)] for buf in (windowed, spectrum, magnitude))
@@ -212,31 +221,11 @@ def _stft_peaks(audio: AudioBuffer, params: PeakParams):
         order = np.lexsort((k, -m, r))
         r, k, m = r[order], k[order], m[order]
         top = np.arange(r.size) - np.searchsorted(r, r) < params.top_k
-        rows.append(r[top] + start)
         bins.append(k[top])
         mags.append(m[top])
-    row, k, m = (np.concatenate(a) for a in (rows, bins, mags))
+    k, m = np.concatenate(bins), np.concatenate(mags)
     # the floor only removes a frame's weakest peaks, so applying it after the
     # top_k cut keeps the same set as applying it before
     keep = m >= global_max * 10.0 ** (params.floor_db / 20.0)
     values = k[keep].astype(np.float64) * (audio.sample_rate_hz / size)
-    return values, np.bincount(row[keep], minlength=len(frames))
-
-
-def stft_peak_frames(audio: AudioBuffer, params: PeakParams | None = None) -> list[np.ndarray]:
-    """Per-frame peak frequencies (descending magnitude within each frame).
-
-    Hann-windowed frames at the configured hop; only complete frames are
-    taken, except that a signal shorter than one frame is zero-padded to a
-    single frame. Each frame keeps at most top_k strict local maxima passing
-    the per-frame relative threshold and the global dB floor.
-    """
-    values, counts = _stft_peaks(audio, params or PeakParams())
-    return np.split(values, np.cumsum(counts)[:-1])
-
-
-def extract_sequence_stft(audio: AudioBuffer, params: PeakParams | None = None) -> FrequencySequence:
-    """Time-ordered frequency sequence: the stft_peak_frames peaks, frame by frame, in one array."""
-    params = params or PeakParams()
-    values, _counts = _stft_peaks(audio, params)
     return FrequencySequence(values_hz=values, extraction_params=params)

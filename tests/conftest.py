@@ -1,12 +1,13 @@
 """Shared helpers: hand-rolled WAV byte builders and signal synthesis.
 
 The WAV builders here are written directly against the RIFF byte layout with
-struct, independent of the package's writer, so decode tests check the parser
-against the format spec rather than against itself.
+struct, so decode tests check the parser against the format spec. The package
+writes no audio; every test that needs a WAV file builds it with wav_bytes.
 """
 
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -59,6 +60,17 @@ def dense_ks(fit, x_sorted):
     i = np.arange(1, n + 1, dtype=np.float64)
     d = float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
     return distfit.KsResult(d, distfit._kolmogorov_q((math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d), n)
+
+
+def assert_is_path(net):
+    """The network joins only neighbouring bins: N - 1 edges, no degree above 2,
+    and the two lowest bins (one when N = 1) as the largest clique."""
+    midis = [b.midi_lower for b in net.nodes]
+    n = len(midis)
+    assert sorted(net.edges) == list(zip(midis[:-1], midis[1:]))
+    assert len(net.edges) == n - 1
+    assert max(Counter(m for edge in net.edges for m in edge).values(), default=0) <= 2
+    assert net.largest_clique == net.nodes[: min(n, 2)]
 
 
 @pytest.fixture

@@ -13,8 +13,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import sine
-from soundnet import audio_io, distfit, spectral
+from conftest import float32_payload, pcm16_payload, sine, wav_bytes
+from soundnet import distfit, spectral
 from soundnet.cli import main
 from soundnet.corpus import spearman
 from soundnet.distfit import DistFamily, FittedDistribution
@@ -169,7 +169,8 @@ def test_c6_pitch_binning():
 def test_c7_end_to_end_tone(tmp_path):
     with criterion(7, "3 s 440 Hz sine -> one-node (A4, A#4) network, byte-stable report"):
         wav = tmp_path / "tone440.wav"
-        audio_io.write_wav_float32(wav, sine(440.0, 3.0, 44100).astype(np.float32), 44100)
+        payload = float32_payload(sine(440.0, 3.0, 44100).astype(np.float32).tolist())
+        wav.write_bytes(wav_bytes(payload, rate=44100, bits=32, format_code=3))
         out = tmp_path / "out"
         assert main(["analyze", str(wav), "--out", str(out)]) == 0
         report_path = out / "tone440.json"
@@ -190,7 +191,8 @@ def _exp_melody(path, seed, rate=44100, seconds=20.0, seg=0.25):
     for _ in range(int(seconds / seg)):
         f = 60.0 + min(float(rng.exponential(350.0)), 3200.0)
         chunks.append(sine(f, seg, rate))
-    audio_io.write_wav_int16(path, np.concatenate(chunks), rate)
+    codes = np.round(np.clip(np.concatenate(chunks), -1.0, 1.0) * 32767.0).astype(np.int16)
+    path.write_bytes(wav_bytes(pcm16_payload(codes.tolist()), rate=rate))
     return path
 
 

@@ -85,9 +85,8 @@ def test_float32_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(4)
     samples = rng.uniform(-1, 1, size=2048).astype(np.float32).astype(np.float64)
     buf = audio_io.AudioBuffer(samples=samples, sample_rate_hz=22050)
-    out = tmp_path / "rt.wav"
-    audio_io.write_wav_float32(out, buf.samples, buf.sample_rate_hz)
-    again = audio_io.decode_wav(out)
+    data = wav_bytes(float32_payload(buf.samples.tolist()), rate=buf.sample_rate_hz, bits=32, format_code=3)
+    again = audio_io.decode_wav(write(tmp_path, data, "rt.wav"))
     assert again.sample_rate_hz == 22050
     assert np.array_equal(again.samples, buf.samples)
 

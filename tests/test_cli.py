@@ -4,14 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import sine, wav_bytes
-from soundnet import audio_io, network, spectral
+from conftest import float32_payload, sine, wav_bytes
+from soundnet import network, spectral
 from soundnet.cli import RunConfig, _piece_ids, main
 
 
-def write_tone(path, freq=440.0, seconds=3.0, rate=44100):
-    audio_io.write_wav_float32(path, sine(freq, seconds, rate).astype(np.float32), rate)
+def write_float32(path, samples, rate):
+    path.write_bytes(wav_bytes(float32_payload(samples.astype(np.float32).tolist()), rate=rate, bits=32, format_code=3))
     return path
+
+
+def write_tone(path, freq=440.0, seconds=3.0, rate=44100):
+    return write_float32(path, sine(freq, seconds, rate), rate)
 
 
 def write_melody(path, seed, rate=8000, seconds=4.0, seg=0.25):
@@ -20,8 +24,7 @@ def write_melody(path, seed, rate=8000, seconds=4.0, seg=0.25):
     for _ in range(int(seconds / seg)):
         f = 80.0 + min(float(rng.exponential(400.0)), 3000.0)
         chunks.append(sine(f, seg, rate))
-    audio_io.write_wav_float32(path, np.concatenate(chunks).astype(np.float32), rate)
-    return path
+    return write_float32(path, np.concatenate(chunks), rate)
 
 
 MELODY_FLAGS = ["--frame-size", "1024", "--hop", "512"]
@@ -64,7 +67,7 @@ def test_analyze_report_carries_all_seven_families(tmp_path):
 
 def test_analyze_silent_exit_3(tmp_path, capsys):
     wav = tmp_path / "silent.wav"
-    audio_io.write_wav_float32(wav, np.zeros(44100, dtype=np.float32), 44100)
+    write_float32(wav, np.zeros(44100), 44100)
     assert main(["analyze", str(wav), "--out", str(tmp_path / "o")]) == 3
     assert "error" in capsys.readouterr().err
 

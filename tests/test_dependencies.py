@@ -1,5 +1,6 @@
 """The package runs on numpy alone: scipy is a test-only oracle, and the
-Nelder-Mead module that the fits once used is gone.
+Nelder-Mead module that the fits once used is gone. Every exported name
+resolves.
 
 A fresh interpreter, which has imported nothing the tests import, fits a
 sample, analyzes a small WAV in both modes and the float32 golden piece in
@@ -13,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import soundnet
 from soundnet import distfit
 from soundnet.distfit import DistFamily
 from test_golden import _write_corpus
@@ -56,3 +58,10 @@ def test_soundnet_runs_without_scipy_or_the_simplex(tmp_path):
     assert loaded["frechet_reason"] == distfit.BOUNDARY_A
     assert loaded["scipy"] == []
     assert loaded["simplex"] is False
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in soundnet.__all__ if not hasattr(soundnet, name)] == []
+    namespace = {}
+    exec("from soundnet import *", namespace)
+    assert set(soundnet.__all__) <= set(namespace)

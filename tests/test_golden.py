@@ -15,8 +15,11 @@ import hashlib
 
 import numpy as np
 
-from conftest import float32_payload, pcm16_payload, pcm24_payload, sine, wav_bytes
+from conftest import assert_is_path, float32_payload, pcm16_payload, pcm24_payload, sine, wav_bytes
+from soundnet import spectral
+from soundnet.audio_io import decode_wav
 from soundnet.cli import main
+from soundnet.network import build_network
 
 RATE = 22050
 
@@ -100,3 +103,12 @@ def test_golden_artifacts(tmp_path, monkeypatch):
     assert _digests(tmp_path / "stft") == GOLDEN_CORPUS_STFT
     assert _digests(tmp_path / "full") == GOLDEN_CORPUS_FULL
     assert _digests(tmp_path / "one") == GOLDEN_ANALYZE
+
+
+def test_golden_pieces_in_full_mode_are_paths(tmp_path):
+    _write_corpus(tmp_path / "in")
+    for wav in sorted((tmp_path / "in").iterdir()):
+        audio = decode_wav(wav)
+        net = build_network(spectral.extract_sequence_full(spectral.dft(audio.samples, audio.sample_rate_hz)))
+        assert len(net.nodes) > 2
+        assert_is_path(net)

@@ -59,8 +59,8 @@ def test_decode_peak_under_3_5_payloads(tmp_path, payload, channels, bits, forma
 
 def test_stft_extra_peak_does_not_grow_with_signal_length():
     short, long = (AudioBuffer(samples=melody(s, seed=1), sample_rate_hz=RATE) for s in (10.0, 60.0))
-    peak_short = traced_peak(spectral.stft_peak_frames, short)
-    peak_long = traced_peak(spectral.stft_peak_frames, long)
+    peak_short = traced_peak(spectral.extract_sequence_stft, short)
+    peak_long = traced_peak(spectral.extract_sequence_stft, long)
     assert peak_long < 1.1 * peak_short
 
 
@@ -72,7 +72,7 @@ def test_stft_chunk_working_set_within_documented_bound(kind):
     x = np.random.default_rng(2).standard_normal(n) if kind == "noise" else np.zeros(n)
     audio = AudioBuffer(samples=x, sample_rate_hz=RATE)
     params = spectral.PeakParams(frame_size=size, hop=size)
-    assert traced_peak(spectral.stft_peak_frames, audio, params) < 36 * size * spectral._CHUNK_FRAMES
+    assert traced_peak(spectral.extract_sequence_stft, audio, params) < 36 * size * spectral._CHUNK_FRAMES
 
 
 @pytest.mark.parametrize("frame_size", [2**17, 2**40])

@@ -2,16 +2,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from soundnet import network
-from soundnet.errors import EmptyNetwork, NonFiniteValues, NonPositiveFrequency, SingleNode
+from conftest import assert_is_path, sine
+from soundnet import network, spectral
+from soundnet.errors import EmptyNetwork, NonFiniteValues, NonPositiveFrequency
 from soundnet.network import (
     OCTAVE_BUCKETS,
     PitchGrid,
     bin_of,
     build_network,
     clique_octave_histogram,
-    degree_centrality,
     grid_bin,
     largest_clique,
 )
@@ -178,15 +180,15 @@ def test_empty_network_error():
 def test_degree_sum_is_twice_edges(rng):
     freqs = np.exp(rng.uniform(np.log(30.0), np.log(4000.0), size=400))
     net = net_from(freqs)
-    adj = net.adjacency()
-    assert sum(len(v) for v in adj.values()) == 2 * len(net.edges)
+    n = len(net.nodes)
+    assert sum(round(c * (n - 1)) for c in net.degree_centrality.values()) == 2 * len(net.edges)
 
 
 # --- degree centrality ----------------------------------------------------------------
 
 def test_path_centrality():
     net = net_from([330.0, 470.0, 990.0])  # path a-b-c
-    cent = degree_centrality(net)
+    cent = net.degree_centrality
     values = [cent[n.midi_lower] for n in net.nodes]
     assert sorted(values) == [0.5, 0.5, 1.0]
 
@@ -197,7 +199,7 @@ def test_complete_graph_centrality():
     walk = [f[0], f[1], f[2], f[3], f[0], f[2], f[1], f[3]]
     net = net_from(walk)
     assert len(net.edges) == 6
-    cent = degree_centrality(net)
+    cent = net.degree_centrality
     assert all(v == 1.0 for v in cent.values())
 
 
@@ -208,22 +210,21 @@ def test_star_centrality():
     for leaf in leaves:
         walk += [center, leaf]
     net = net_from(walk)
-    cent = degree_centrality(net)
+    cent = net.degree_centrality
     assert cent[bin_of(center, GRID).midi_lower] == 1.0
     for leaf in leaves:
         assert cent[bin_of(leaf, GRID).midi_lower] == 0.2
 
 
-def test_single_node_centrality_error():
+def test_single_node_centrality_is_empty():
     net = net_from([330.0, 335.0])
-    with pytest.raises(SingleNode):
-        degree_centrality(net)
+    assert net.single_node
     assert net.degree_centrality == {}
 
 
 def test_centrality_in_unit_interval(rng):
     freqs = np.exp(rng.uniform(np.log(30.0), np.log(4000.0), size=300))
-    cent = degree_centrality(net_from(freqs))
+    cent = net_from(freqs).degree_centrality
     assert all(0.0 <= v <= 1.0 for v in cent.values())
 
 
@@ -271,10 +272,9 @@ def test_clique_members_pairwise_adjacent(rng):
     freqs = np.exp(rng.uniform(np.log(30.0), np.log(4000.0), size=600))
     net = net_from(freqs)
     clique = largest_clique(net)
-    adj = net.adjacency()
     for i, a in enumerate(clique):
         for b in clique[i + 1 :]:
-            assert b.midi_lower in adj[a.midi_lower]
+            assert (a.midi_lower, b.midi_lower) in net.edges
 
 
 # --- octave histogram ----------------------------------------------------------------------
@@ -346,6 +346,27 @@ def test_network_to_dict_round_trip_fields():
     for i, j in payload["edges"]:
         assert 0 <= i < len(net.nodes)
         assert 0 <= j < len(net.nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["noise", "tones", "tones+noise"]),
+    st.integers(256, 8192),
+    st.sampled_from([8000, 22050, 44100]),
+    st.integers(0, 2**32 - 1),
+)
+def test_full_mode_network_is_a_path(kind, n, rate, seed):
+    # the full mode's peaks ascend, so build_network joins only neighbouring bins
+    rng = np.random.default_rng(seed)
+    x = np.zeros(n)
+    if "tones" in kind:
+        for f in rng.uniform(30.0, 3000.0, size=rng.integers(1, 6)):
+            x += sine(f, n / rate, rate, rng.uniform(0.1, 1.0))[:n]
+    if "noise" in kind:
+        x += 0.1 * rng.standard_normal(n)
+    seq = spectral.extract_sequence_full(spectral.dft(x, rate))
+    assume(len(seq) > 0)  # a slow tone alone can leave no peak
+    assert_is_path(build_network(seq, GRID))
 
 
 # --- direct construction -------------------------------------------------------------------

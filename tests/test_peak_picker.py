@@ -77,10 +77,9 @@ peak_params = st.builds(
 )
 
 
-def assert_frames_equal(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+def assert_matches_frames(seq, frames):
+    """The sequence is the reference frames' peaks, frame by frame, in one array."""
+    assert np.array_equal(seq.values_hz, np.concatenate(frames))
 
 
 @settings(max_examples=300, deadline=None)
@@ -104,15 +103,15 @@ def test_peak_mask_matches_1d_picker_row_by_row(mag):
 def test_stft_matches_per_frame_reference(params, kind, n, seed, chunk):
     audio = AudioBuffer(samples=synth(kind, n, seed), sample_rate_hz=RATE)
     with mock.patch.object(spectral, "_CHUNK_FRAMES", chunk):
-        got = spectral.stft_peak_frames(audio, params)
-    assert_frames_equal(got, reference_frames(audio, params))
+        got = spectral.extract_sequence_stft(audio, params)
+    assert_matches_frames(got, reference_frames(audio, params))
 
 
 @settings(max_examples=100, deadline=None)
 @given(peak_params, st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=90))
 def test_stft_short_signals_match_reference(params, samples):
     audio = AudioBuffer(samples=np.asarray(samples), sample_rate_hz=RATE)
-    assert_frames_equal(spectral.stft_peak_frames(audio, params), reference_frames(audio, params))
+    assert_matches_frames(spectral.extract_sequence_stft(audio, params), reference_frames(audio, params))
 
 
 @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 513])
@@ -120,9 +119,9 @@ def test_stft_short_signals_match_reference(params, samples):
 def test_stft_frame_counts_around_the_chunk_size(n_frames, kind):
     params = spectral.PeakParams(frame_size=16, hop=4, top_k=3)
     audio = AudioBuffer(samples=synth(kind, 16 + 4 * (n_frames - 1) + 3, n_frames), sample_rate_hz=RATE)
-    got = spectral.stft_peak_frames(audio, params)
-    assert len(got) == n_frames
-    assert_frames_equal(got, reference_frames(audio, params))
+    want = reference_frames(audio, params)
+    assert len(want) == n_frames
+    assert_matches_frames(spectral.extract_sequence_stft(audio, params), want)
 
 
 @settings(max_examples=100, deadline=None)

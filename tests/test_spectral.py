@@ -127,19 +127,15 @@ def test_stft_step_frequency_transition():
     first = sine(220.0, 1.5, fs)
     second = sine(880.0, 1.5, fs)
     buf = AudioBuffer(samples=np.concatenate([first, second]), sample_rate_hz=fs)
-    frames = spectral.stft_peak_frames(buf)
+    values = spectral.extract_sequence_stft(buf).values_hz
     bin_width = fs / 4096
-    mixed = 0
-    for values in frames:
-        near_low = np.abs(values - 220.0) <= bin_width
-        near_high = np.abs(values - 880.0) <= bin_width
-        assert np.all(near_low | near_high)
-        if near_low.any() and near_high.any():
-            mixed += 1
-    assert mixed <= 2
-    # time order: first frames low, last frames high
-    assert np.all(np.abs(frames[0] - 220.0) <= bin_width)
-    assert np.all(np.abs(frames[-1] - 880.0) <= bin_width)
+    near_low = np.abs(values - 220.0) <= bin_width
+    near_high = np.abs(values - 880.0) <= bin_width
+    assert np.all(near_low | near_high)
+    # time order: low first, high last, and back from high to low at most
+    # once in each of at most two frames that hold both tones
+    assert near_low[0] and near_high[-1]
+    assert np.count_nonzero(near_high[:-1] & near_low[1:]) <= 2
 
 
 def test_stft_silence_empty():
@@ -150,10 +146,12 @@ def test_stft_silence_empty():
 def test_stft_short_signal_zero_padded_to_one_frame():
     buf = tone_buffer(1000.0, 0.01, 8000)  # 80 samples < frame_size
     params = spectral.PeakParams(frame_size=256, hop=128)
-    frames = spectral.stft_peak_frames(buf, params)
-    assert len(frames) == 1
-    tiny = AudioBuffer(samples=buf.samples[:50], sample_rate_hz=8000)
-    assert len(spectral.stft_peak_frames(tiny, params)) == 1
+    for x in (buf.samples, buf.samples[:50]):
+        # a signal of exactly one frame is that one frame
+        padded = AudioBuffer(samples=np.concatenate([x, np.zeros(256 - x.size)]), sample_rate_hz=8000)
+        seq = spectral.extract_sequence_stft(AudioBuffer(samples=x, sample_rate_hz=8000), params)
+        assert len(seq) > 0
+        assert np.array_equal(seq.values_hz, spectral.extract_sequence_stft(padded, params).values_hz)
 
 
 def test_stft_values_are_exact_bin_centers():
@@ -170,11 +168,10 @@ def test_stft_top_k_and_frame_order(rng):
     t = np.arange(fs) / fs
     x = sum(a * np.sin(2 * np.pi * f * t) for a, f in [(1.0, 400.0), (0.8, 900.0), (0.6, 1700.0)])
     params = spectral.PeakParams(frame_size=1024, hop=512, top_k=2)
-    frames = spectral.stft_peak_frames(AudioBuffer(samples=x, sample_rate_hz=fs), params)
-    for values in frames:
-        assert len(values) <= 2
-    full = spectral.extract_sequence_stft(AudioBuffer(samples=x, sample_rate_hz=fs), params)
-    assert np.array_equal(full.values_hz, np.concatenate(frames))
+    seq = spectral.extract_sequence_stft(AudioBuffer(samples=x, sample_rate_hz=fs), params)
+    # each of the 14 frames keeps its two strongest peaks, strongest first
+    bin_width = fs / 1024
+    assert np.array_equal(seq.values_hz, np.tile(np.round(np.array([400.0, 900.0]) / bin_width) * bin_width, 14))
 
 
 def test_peak_params_validation():

@@ -10,10 +10,12 @@ bug.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soundnet.distfit import ALL_FAMILIES, best_fit, fit_mle
+from soundnet.corpus import spearman
+from soundnet.distfit import ALL_FAMILIES, DistFamily, best_fit, fit_mle, ks_test
 from soundnet.errors import NonConvergence, SoundnetError
 from soundnet.network import MIDI_HIGH, MIDI_LOW, PitchGrid, build_network
 
@@ -96,3 +98,28 @@ def test_fit_mle_returns_a_fit_or_a_typed_error_for_every_family(values):
         assert np.isfinite(values).all()
         assert fit.family is family
         assert np.isfinite(fit.params_list()).all() and fit.scale > 0.0
+
+
+def _fit_mle_outcomes(values):
+    outcomes = []
+    for family in ALL_FAMILIES:
+        try:
+            outcomes.append(fit_mle(family, values))
+        except SoundnetError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        best_fit,
+        _fit_mle_outcomes,
+        lambda v: ks_test(fit_mle(DistFamily.NORMAL, np.ravel(v)), v),
+        lambda v: spearman(v, np.random.default_rng(1).uniform(size=80)),
+    ],
+    ids=["best_fit", "fit_mle", "ks_test", "spearman"],
+)
+def test_2d_input_is_one_flat_sequence(call):
+    x = np.random.default_rng(0).uniform(100.0, 1000.0, (40, 2))
+    assert repr(call(x)) == repr(call(x.ravel()))
