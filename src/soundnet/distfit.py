@@ -637,11 +637,12 @@ def ks_test(fit: FittedDistribution, samples) -> KsResult:
 
     D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) over the sorted sample;
     p = Q_KS(lambda) with lambda = (sqrt(n) + 0.12 + 0.11/sqrt(n)) * D.
-    Raises NonFiniteValues when the sample holds NaN or an infinite value.
+    Raises InsufficientData on an empty sample, and NonFiniteValues when the
+    sample holds NaN or an infinite value.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     if x.size < 1:
-        raise ValueError("ks_test needs at least one sample")
+        raise InsufficientData("ks_test needs at least one sample")
     if not np.isfinite(x).all():
         raise NonFiniteValues("samples contain NaN or infinite values")
     return _ks_sorted(fit, x)

@@ -5,6 +5,10 @@ Nodes are half-open semitone intervals [note m, note m+1) of the 12-tone
 equal-tempered grid; an undirected simple edge joins the bins of each pair of
 consecutive in-range frequency components. Same-bin pairs (self-loops) are
 dropped and repeated edges collapse.
+
+Note m sits at a4_hz * 2^((m - 69)/12), written once, in _note_hz. Every bin
+decision and every reported bin bound reads its doubles, so a bin's
+[lower_hz, upper_hz) contains every frequency placed in it.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ def note_name(midi: int) -> str:
     return f"{PITCH_CLASS_NAMES[midi % 12]}{midi // 12 - 1}"
 
 
+def _note_hz(a4_hz: float, midi) -> float:
+    """Equal-tempered frequency of note `midi`, in Python floats (C pow)."""
+    return a4_hz * 2.0 ** ((midi - 69) / 12.0)
+
+
 @dataclass(frozen=True)
 class PitchGrid:
     """Equal-tempered reference grid, tunable via the A4 anchor in [A4_MIN_HZ, A4_MAX_HZ]."""
@@ -41,15 +50,8 @@ class PitchGrid:
             raise ValueError(f"a4_hz must be in [{A4_MIN_HZ:g}, {A4_MAX_HZ:g}] Hz, got {self.a4_hz!r}")
 
     def note_freq(self, midi) -> float:
-        return self.a4_hz * 2.0 ** ((np.asarray(midi) - 69) / 12.0)
-
-    @property
-    def low_hz(self) -> float:
-        return float(self.note_freq(MIDI_LOW))
-
-    @property
-    def high_hz(self) -> float:
-        return float(self.note_freq(MIDI_HIGH))
+        midi = np.asarray(midi)
+        return np.array([_note_hz(self.a4_hz, m) for m in midi.ravel().tolist()]).reshape(midi.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -67,14 +69,12 @@ class PitchBin:
 def grid_bin(midi: int, grid: PitchGrid | None = None) -> PitchBin:
     """The pitch bin whose lower note is the given MIDI number."""
     grid = grid or PitchGrid()
-    # PitchGrid.note_freq's expression in Python floats: numpy scalar arithmetic
-    # costs microseconds per call, and the result is the same double
     return PitchBin(
         midi_lower=midi,
         lower_note=note_name(midi),
         upper_note=note_name(midi + 1),
-        lower_hz=grid.a4_hz * 2.0 ** ((midi - 69) / 12.0),
-        upper_hz=grid.a4_hz * 2.0 ** ((midi + 1 - 69) / 12.0),
+        lower_hz=_note_hz(grid.a4_hz, midi),
+        upper_hz=_note_hz(grid.a4_hz, midi + 1),
     )
 
 
@@ -86,8 +86,7 @@ def _midi_of(freqs: np.ndarray, grid: PitchGrid) -> np.ndarray:
     first clipped to [MIDI_LOW - 1, MIDI_HIGH], which changes no in-grid
     result: a frequency too low for a finite log-ratio (a subnormal) or far
     outside the grid then lands just outside it, with no int64 wraparound.
-    The note frequencies come from one note_freq table over
-    MIDI_LOW - 1 ... MIDI_HIGH + 1, the same doubles as note_freq of each m.
+    The nudge reads one note_freq table over MIDI_LOW - 1 ... MIDI_HIGH + 1.
     """
     with np.errstate(divide="ignore"):  # log2(0) = -inf where freqs / a4 underflows
         m = np.floor(69.0 + 12.0 * np.log2(freqs / grid.a4_hz))

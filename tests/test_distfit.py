@@ -129,6 +129,13 @@ def test_ks_single_point():
     assert res.n == 1
 
 
+@pytest.mark.parametrize("empty", [[], np.empty((0, 3))], ids=["list", "array_0x3"])
+def test_ks_rejects_empty_sample(empty):
+    fit = FittedDistribution(DistFamily.EXPONENTIAL, (), 0.0, 1.0)
+    with pytest.raises(InsufficientData):
+        distfit.ks_test(fit, empty)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_ks_rejects_non_finite_samples(bad):
     fit = FittedDistribution(DistFamily.EXPONENTIAL, (), 0.0, 1.0)

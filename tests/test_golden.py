@@ -6,6 +6,13 @@ test runs `corpus` in both modes and `analyze` on one piece from inside the
 temporary directory with relative paths, so the reports (which echo the
 input path and the output directory) do not depend on where it runs.
 
+The pins hold on one machine and numpy build: with numpy's AVX512 kernels
+switched off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"),
+test_golden_artifacts fails. Each piece JSON, corpus.json and
+corpus.summary.csv differ in both modes, and so does the analyze report, only
+in the last digits of fit parameters and KS values; no SVG, matrix or network
+field differs.
+
 A refactor that claims byte-identical output must pass these pins unchanged.
 If a change alters an artifact on purpose, re-pin and record the input and
 the cause in CHANGES.md.

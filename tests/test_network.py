@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from soundnet.network import (
 from soundnet.selftest import max_clique_size_bruteforce, random_network
 
 GRID = PitchGrid()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def net_from(freqs, grid=GRID):
@@ -44,8 +50,8 @@ def test_bin_boundary_is_lower_inclusive():
 def test_bin_of_out_of_range():
     assert bin_of(10.0, GRID) is None          # below C0 (16.35 Hz)
     assert bin_of(9000.0, GRID) is None        # at/above C9 (8372 Hz)
-    assert bin_of(GRID.high_hz, GRID) is None  # upper edge exclusive
-    assert bin_of(GRID.low_hz, GRID).midi_lower == network.MIDI_LOW
+    assert bin_of(float(GRID.note_freq(network.MIDI_HIGH)), GRID) is None  # upper edge exclusive
+    assert bin_of(float(GRID.note_freq(network.MIDI_LOW)), GRID).midi_lower == network.MIDI_LOW
 
 
 def test_bin_of_rejects_nonpositive():
@@ -94,13 +100,76 @@ def test_a4_outside_documented_range_rejected(a4_hz):
 
 @pytest.mark.parametrize("a4_hz", [415.0, 440.0, 442.5, 466.16])
 def test_grid_bin_hz_bit_identical_to_note_freq(a4_hz):
+    # against a 0-d numpy scalar and against note_freq of the whole array
     grid = PitchGrid(a4_hz)
+    table = grid.note_freq(np.arange(network.MIDI_LOW, network.MIDI_HIGH + 1))
     for midi in range(network.MIDI_LOW, network.MIDI_HIGH):
         b = grid_bin(midi, grid)
         for got, m in ((b.lower_hz, midi), (b.upper_hz, midi + 1)):
             want = grid.a4_hz * 2.0 ** ((np.asarray(m) - 69) / 12.0)
             assert type(got) is float
             assert np.float64(got).tobytes() == want.tobytes(), (a4_hz, m)
+            assert np.float64(got).tobytes() == table[m - network.MIDI_LOW].tobytes(), (a4_hz, m)
+
+
+PROBE_A4_HZ = (220.0, 415.0, 432.0, 440.0, 443.7, 466.16, 880.0)
+
+
+def _note_edge_probe(a4_hz):
+    """Every note edge of the grid by numpy's array power and by Python's
+    `**`, which can differ in the last bits, with the float neighbours of each."""
+    midis = np.arange(network.MIDI_LOW - 1, network.MIDI_HIGH + 2)
+    array_notes = a4_hz * 2.0 ** ((midis - 69) / 12.0)
+    notes = np.concatenate([array_notes, [a4_hz * 2.0 ** ((m - 69) / 12.0) for m in midis.tolist()]])
+    return np.concatenate([notes, np.nextafter(notes, 0.0), np.nextafter(notes, np.inf)])
+
+
+def _placements(probes):
+    """bin_of of every probe frequency and the network of each probe, as JSON."""
+    out = {}
+    for a4_hz, freqs in probes.items():
+        grid = PitchGrid(float(a4_hz))
+        bins = [bin_of(f, grid) for f in freqs]
+        net = build_network(np.asarray(freqs), grid)
+        out[a4_hz] = {
+            "bins": [None if b is None else [b.midi_lower, b.lower_hz, b.upper_hz] for b in bins],
+            "nodes": [[b.midi_lower, b.lower_hz, b.upper_hz] for b in net.nodes],
+            "edges": sorted(net.edges),
+            "dropped": net.dropped_components,
+        }
+    return json.loads(json.dumps(out))
+
+
+@pytest.mark.parametrize("a4_hz", PROBE_A4_HZ)
+def test_bin_bounds_contain_every_frequency_placed_in_the_bin(a4_hz):
+    grid = PitchGrid(a4_hz)
+    for f in _note_edge_probe(a4_hz).tolist():
+        b = bin_of(f, grid)
+        assert b is None or b.lower_hz <= f < b.upper_hz, (a4_hz, f)
+
+
+SIMD_PROBE = """
+import json, sys
+from test_network import _placements
+with open(sys.argv[1]) as fh:
+    print(json.dumps(_placements(json.load(fh))))
+"""
+
+
+def test_bin_placement_does_not_depend_on_numpy_simd_kernels(tmp_path):
+    # the probe is made once, here, so both runs place the same doubles
+    probes = {str(a4_hz): _note_edge_probe(a4_hz).tolist() for a4_hz in PROBE_A4_HZ}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(probes))
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", SIMD_PROBE, str(path)], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert json.loads(out.stdout) == _placements(probes)
 
 
 def _midi_of_per_component(freqs, grid):
@@ -126,7 +195,8 @@ def test_midi_of_note_table_matches_note_freq_per_component(a4_hz, rng):
 
 
 def test_bin_partition_covers_grid(rng):
-    freqs = np.exp(rng.uniform(np.log(GRID.low_hz), np.log(GRID.high_hz * 0.999), size=2_000))
+    low, high = float(GRID.note_freq(network.MIDI_LOW)), float(GRID.note_freq(network.MIDI_HIGH))
+    freqs = np.exp(rng.uniform(np.log(low), np.log(high * 0.999), size=2_000))
     for f in freqs:
         b = bin_of(float(f), GRID)
         assert b is not None

@@ -43,7 +43,7 @@ def sequences(draw):
         if draw(st.booleans()):
             values *= rng.choice([-1.0, 1.0], n)
     else:  # a mix of bins below C0, inside the grid and at or above C9
-        low, high = GRID.low_hz, GRID.high_hz
+        low, high = float(GRID.note_freq(MIDI_LOW)), float(GRID.note_freq(MIDI_HIGH))
         pools = [rng.uniform(1e-3, low, n), rng.uniform(low, high, n), rng.uniform(high, 1e6, n)]
         values = np.choose(rng.integers(0, 3, n), pools)
     if values.size and draw(st.booleans()) and draw(st.booleans()):
