@@ -22,6 +22,19 @@ from .network import OCTAVE_BUCKETS, SoundNetwork
 ALIGN_UNION = "union"
 ALIGN_INTERSECTION = "intersection"
 
+# the per-piece summary row: its keys, in order, and the summary CSV's columns
+SUMMARY_COLUMNS = (
+    "id",
+    "best_family",
+    "loc",
+    "scale",
+    "ks_d",
+    "ks_p",
+    "n_nodes",
+    "n_edges",
+    "clique_size",
+) + OCTAVE_BUCKETS
+
 
 @dataclass(frozen=True)
 class CorpusReport:
@@ -127,19 +140,11 @@ def corpus_report(analyses: dict, alignment: str = ALIGN_UNION) -> CorpusReport:
         fit_report, net = analyses[piece]
         best = fit_report.per_family[fit_report.best]
         counts[fit_report.best.value] = counts.get(fit_report.best.value, 0) + 1
-        row = {
-            "id": piece,
-            "best_family": fit_report.best.value,
-            "loc": best.dist.loc,
-            "scale": best.dist.scale,
-            "ks_d": best.ks.statistic_d,
-            "ks_p": best.ks.p_value,
-            "n_nodes": len(net.nodes),
-            "n_edges": len(net.edges),
-            "clique_size": sizes[piece],
-        }
-        row.update(histograms[piece])
-        rows.append(row)
+        values = (
+            piece, fit_report.best.value, best.dist.loc, best.dist.scale, best.ks.statistic_d, best.ks.p_value,
+            len(net.nodes), len(net.edges), sizes[piece], *histograms[piece].values(),
+        )
+        rows.append(dict(zip(SUMMARY_COLUMNS, values, strict=True)))
 
     share = {
         family: {"count": count, "share": count / len(pieces)}
@@ -154,19 +159,6 @@ def corpus_report(analyses: dict, alignment: str = ALIGN_UNION) -> CorpusReport:
         family_share=share,
         alignment=alignment,
     )
-
-
-SUMMARY_COLUMNS = (
-    "id",
-    "best_family",
-    "loc",
-    "scale",
-    "ks_d",
-    "ks_p",
-    "n_nodes",
-    "n_edges",
-    "clique_size",
-) + OCTAVE_BUCKETS
 
 
 def summary_csv(report: CorpusReport) -> str:

@@ -163,9 +163,6 @@ class SoundNetwork:
     def single_node(self) -> bool:
         return len(self.nodes) == 1
 
-    def node_by_midi(self, midi: int) -> PitchBin:
-        return self.nodes[self._rank[midi]]
-
 
 def build_network(seq, grid: PitchGrid | None = None) -> SoundNetwork:
     """Build the network of sounds from a frequency sequence.
@@ -181,17 +178,13 @@ def build_network(seq, grid: PitchGrid | None = None) -> SoundNetwork:
     values = np.asarray(getattr(seq, "values_hz", seq), dtype=np.float64)
     if not np.isfinite(values).all():
         raise NonFiniteValues("sequence contains NaN or infinite frequencies")
-    if values.size and values.min() <= 0.0:
+    if (values <= 0.0).any():
         raise NonPositiveFrequency("sequence contains non-positive frequencies")
 
-    if values.size:
-        midis = _midi_of(values, grid)
-        in_range = (midis >= MIDI_LOW) & (midis < MIDI_HIGH)
-        dropped = int(values.size - in_range.sum())
-        midis = midis[in_range]
-    else:
-        midis = np.empty(0, dtype=np.int64)
-        dropped = 0
+    midis = _midi_of(values, grid)
+    in_range = (midis >= MIDI_LOW) & (midis < MIDI_HIGH)
+    dropped = int(values.size - in_range.sum())
+    midis = midis[in_range]
     if midis.size == 0:
         raise EmptyNetwork("no in-range frequency components")
 
@@ -305,9 +298,7 @@ def network_to_dict(net: SoundNetwork) -> dict:
             for b in net.nodes
         ],
         "edges": sorted([net._rank[a], net._rank[b]] for a, b in net.edges),
-        "degree_centrality": {
-            net.node_by_midi(m).lower_note: v for m, v in sorted(net.degree_centrality.items())
-        },
+        "degree_centrality": {note_name(m): v for m, v in sorted(net.degree_centrality.items())},
         "single_node": net.single_node,
         "largest_clique": [b.lower_note for b in net.largest_clique],
         "clique_size": len(net.largest_clique),

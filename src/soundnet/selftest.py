@@ -1,9 +1,10 @@
 """Independent reference implementations and the runtime self-check suite.
 
 The oracles here deliberately avoid the production code paths: the transform
-check sums the defining series directly, the clique check enumerates every
-vertex subset, and the rank-correlation check uses the closed d^2 formula.
-The test suite reuses them, and `soundnet selftest` runs them at install time.
+check sums the defining series directly, the clique check tries vertex subsets
+from the largest size down, and the rank-correlation check uses the closed d^2
+formula. The test suite reuses them, and `soundnet selftest` runs them at
+install time.
 """
 
 from __future__ import annotations
@@ -25,31 +26,6 @@ def naive_dft(samples) -> np.ndarray:
     k = np.arange(n).reshape(-1, 1)
     j = np.arange(n).reshape(1, -1)
     return np.exp(-2j * np.pi * k * j / n) @ x
-
-
-def max_clique_size_bruteforce(n_vertices: int, edges) -> int:
-    """Maximum clique size by enumerating all 2^n vertex subsets (bitmasks)."""
-    adj = [0] * n_vertices
-    for a, b in edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    best = 0
-    for subset in range(1, 1 << n_vertices):
-        size = subset.bit_count()
-        if size <= best:
-            continue
-        ok = True
-        rest = subset
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            # every other member must be a neighbor of v
-            if subset & ~(adj[v] | (1 << v)):
-                ok = False
-                break
-        if ok:
-            best = size
-    return best
 
 
 def max_clique_bruteforce(n_vertices: int, edges) -> tuple:

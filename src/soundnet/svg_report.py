@@ -65,6 +65,29 @@ def _f(v) -> str:
     return f"{v:.2f}"
 
 
+def _text(x, y, label, size, anchor=None, rotate=None, cls=None) -> str:
+    """One <text> element with its label escaped. x and y are numbers, or
+    strings written as given; `rotate` turns the text about its own (x, y)."""
+    x, y = (v if isinstance(v, str) else _f(v) for v in (x, y))
+    attrs = ([f'class="{cls}"'] if cls else []) + [f'x="{x}"', f'y="{y}"']
+    if anchor:
+        attrs.append(f'text-anchor="{anchor}"')
+    attrs += [f'font-size="{size}"', _FONT]
+    if rotate is not None:
+        attrs.append(f'transform="rotate({rotate} {x} {y})"')
+    return f"<text {' '.join(attrs)}>{_esc(label)}</text>"
+
+
+def _legend(x, title_y, first_y, title, swatches, cls=None) -> list:
+    """A titled column of 12 px colour swatches, one per (color, label), 18 px apart."""
+    body = [_text(x, title_y, title, 13)]
+    for i, (color, label) in enumerate(swatches):
+        y = first_y + 18.0 * i
+        body.append(f'<rect x="{_f(x)}" y="{_f(y - 10)}" width="12" height="12" fill="{color}"/>')
+        body.append(_text(x + 18, y, label, 12, cls=cls))
+    return body
+
+
 def _document(width, height, body: list) -> bytes:
     """The SVG text: header, a white background rect, then the body elements."""
     head = (
@@ -89,11 +112,11 @@ def render_fit_svg(samples, fit_report: FitReport) -> bytes:
     panel_w, panel_h = 420.0, 320.0
     top = 70.0
     left1, left2 = 60.0, 550.0
-    body = [
-        f'<text x="{_f(width / 2)}" y="32" text-anchor="middle" font-size="18" {_FONT}>'
-        f"best fit: {_esc(fit_report.best.value)}  "
-        f"(d={best.ks.statistic_d:.3e}, p={best.ks.p_value:.3f}, n={fit_report.sample_n})</text>",
-    ]
+    title = (
+        f"best fit: {fit_report.best.value}  "
+        f"(d={best.ks.statistic_d:.3e}, p={best.ks.p_value:.3f}, n={fit_report.sample_n})"
+    )
+    body = [_text(width / 2, "32", title, 18, anchor="middle")]
 
     lo, hi = float(x[0]), float(x[-1])
     span = hi - lo or 1.0
@@ -153,9 +176,8 @@ def _panel_frame(left, top, w, h, x_label, y_label) -> list:
     return [
         f'<line x1="{_f(left)}" y1="{_f(top + h)}" x2="{_f(left + w)}" y2="{_f(top + h)}" stroke="#000000"/>',
         f'<line x1="{_f(left)}" y1="{_f(top)}" x2="{_f(left)}" y2="{_f(top + h)}" stroke="#000000"/>',
-        f'<text x="{_f(left + w / 2)}" y="{_f(top + h + 36)}" text-anchor="middle" font-size="13" {_FONT}>{_esc(x_label)}</text>',
-        f'<text x="{_f(left - 40)}" y="{_f(top + h / 2)}" text-anchor="middle" font-size="13" {_FONT} '
-        f'transform="rotate(-90 {_f(left - 40)} {_f(top + h / 2)})">{_esc(y_label)}</text>',
+        _text(left + w / 2, top + h + 36, x_label, 13, anchor="middle"),
+        _text(left - 40, top + h / 2, y_label, 13, anchor="middle", rotate=-90),
     ]
 
 
@@ -200,14 +222,7 @@ def render_network_svg(net: SoundNetwork) -> bytes:
             f"<title>{_esc(b.lower_note)}-{_esc(b.upper_note)}</title></circle>"
         )
 
-    legend_x = width - 140.0
-    body.append(f'<text x="{_f(legend_x)}" y="24" font-size="13" {_FONT}>pitch class</text>')
-    for i, name in enumerate(PITCH_CLASS_NAMES):
-        y = 40.0 + 18.0 * i
-        body.append(
-            f'<rect x="{_f(legend_x)}" y="{_f(y - 10)}" width="12" height="12" fill="{PITCH_CLASS_COLORS[i]}"/>'
-        )
-        body.append(f'<text x="{_f(legend_x + 18)}" y="{_f(y)}" font-size="12" {_FONT}>{_esc(name)}</text>')
+    body.extend(_legend(width - 140.0, "24", 40.0, "pitch class", zip(PITCH_CLASS_COLORS, PITCH_CLASS_NAMES)))
     return _document(width, height, body)
 
 
@@ -247,22 +262,12 @@ def render_heatmap_svg(report: CorpusReport) -> bytes:
                 f'fill="{fill}" stroke="#ffffff" stroke-width="1"/>'
             )
             label = "–" if v is None else f"{v:.2f}"
-            body.append(
-                f'<text x="{_f(x + cell / 2)}" y="{_f(y + cell / 2 + 4)}" text-anchor="middle" '
-                f'font-size="11" {_FONT}>{label}</text>'
-            )
+            body.append(_text(x + cell / 2, y + cell / 2 + 4, label, 11, anchor="middle"))
 
     for i, piece in enumerate(ids):
-        y = top + i * cell + cell / 2 + 4
-        body.append(
-            f'<text class="row-label" x="{_f(left - 8)}" y="{_f(y)}" text-anchor="end" font-size="11" {_FONT}>{_esc(piece)}</text>'
-        )
+        body.append(_text(left - 8, top + i * cell + cell / 2 + 4, piece, 11, anchor="end", cls="row-label"))
         x = left + i * cell + cell / 2
-        base = top + n * cell + 12
-        body.append(
-            f'<text class="col-label" x="{_f(x)}" y="{_f(base)}" text-anchor="end" font-size="11" {_FONT} '
-            f'transform="rotate(-60 {_f(x)} {_f(base)})">{_esc(piece)}</text>'
-        )
+        body.append(_text(x, top + n * cell + 12, piece, 11, anchor="end", rotate=-60, cls="col-label"))
     return _document(width, height, body)
 
 
@@ -298,10 +303,7 @@ def render_clique_bars_svg(report: CorpusReport) -> bytes:
     )
     unit = plot_h / max(max_count, 1)
 
-    body = [
-        f'<text x="{_f(width / 2)}" y="26" text-anchor="middle" font-size="16" {_FONT}>'
-        f"largest-clique composition by octave range</text>",
-    ]
+    body = [_text(width / 2, "26", "largest-clique composition by octave range", 16, anchor="middle")]
     base = top + plot_h
     body.append(f'<line x1="{_f(left)}" y1="{_f(base)}" x2="{_f(left + group_w * len(ids))}" y2="{_f(base)}" stroke="#000000"/>')
 
@@ -318,20 +320,8 @@ def render_clique_bars_svg(report: CorpusReport) -> bytes:
                 f'x="{_f(gx + bi * bar_w)}" y="{_f(base - h)}" width="{_f(bar_w - 1.0)}" height="{_f(h)}" '
                 f'fill="{_BUCKET_COLORS[bi]}"/>'
             )
-        lx = gx + (group_w - 18.0) / 2
-        body.append(
-            f'<text x="{_f(lx)}" y="{_f(base + 14)}" text-anchor="end" font-size="11" {_FONT} '
-            f'transform="rotate(-45 {_f(lx)} {_f(base + 14)})">{_esc(piece)}</text>'
-        )
+        body.append(_text(gx + (group_w - 18.0) / 2, base + 14, piece, 11, anchor="end", rotate=-45))
 
     legend_x = left + group_w * len(ids) + 30.0
-    body.append(f'<text x="{_f(legend_x)}" y="{_f(top)}" font-size="13" {_FONT}>octave range</text>')
-    for bi, bucket in enumerate(buckets):
-        y = top + 20.0 + 18.0 * bi
-        body.append(
-            f'<rect x="{_f(legend_x)}" y="{_f(y - 10)}" width="12" height="12" fill="{_BUCKET_COLORS[bi]}"/>'
-        )
-        body.append(
-            f'<text class="bucket-label" x="{_f(legend_x + 18)}" y="{_f(y)}" font-size="12" {_FONT}>{_esc(bucket)}</text>'
-        )
+    body.extend(_legend(legend_x, top, top + 20.0, "octave range", zip(_BUCKET_COLORS, buckets), cls="bucket-label"))
     return _document(width, height, body)

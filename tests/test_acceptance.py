@@ -20,7 +20,7 @@ from soundnet.corpus import spearman
 from soundnet.distfit import DistFamily, FittedDistribution
 from soundnet.network import PitchGrid, bin_of, largest_clique
 from soundnet.selftest import (
-    max_clique_size_bruteforce,
+    max_clique_bruteforce,
     naive_dft,
     random_network,
     spearman_rank_formula,
@@ -133,7 +133,7 @@ def test_c4_clique_oracle():
             net = random_network(12, 0.5, rng)
             index = {b.midi_lower: i for i, b in enumerate(net.nodes)}
             edges = [(index[a], index[b]) for a, b in net.edges]
-            agree += len(largest_clique(net)) == max_clique_size_bruteforce(12, edges)
+            agree += len(largest_clique(net)) == len(max_clique_bruteforce(12, edges))
         assert agree == 100
         assert time.perf_counter() - started < 10.0
 

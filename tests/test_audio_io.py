@@ -103,6 +103,19 @@ def test_extensible_header_resolves_subformat(tmp_path):
     assert len(buf) == 3
 
 
+@pytest.mark.parametrize("size", [16, 18, 39])
+def test_truncated_extensible_fmt_chunk_is_corrupt(tmp_path, size):
+    ext = struct.pack("<HHIIHH", 0xFFFE, 1, 8000, 16000, 2, 16)
+    ext += struct.pack("<HHI", 22, 16, 1) + struct.pack("<HH", 1, 0) + b"\x00" * 12
+    ext = ext[:size]
+    chunk = b"fmt " + struct.pack("<I", size) + ext + b"\x00" * (size & 1)
+    payload = pcm16_payload([0, 100, -100])
+    body = b"WAVE" + chunk + b"data" + struct.pack("<I", len(payload)) + payload
+    path = write(tmp_path, b"RIFF" + struct.pack("<I", len(body)) + body)
+    with pytest.raises(CorruptHeader, match="extensible fmt chunk truncated"):
+        audio_io.decode_wav(path)
+
+
 def test_unsupported_codec(tmp_path):
     path = write(tmp_path, wav_bytes(pcm16_payload([1, 2]), format_code=0x55))  # mp3
     with pytest.raises(UnsupportedFormat):

@@ -344,6 +344,15 @@ def test_out_of_range_frame_size_and_a4_exit_2_before_any_work(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+def test_top_k_zero_exit_2(tmp_path, capsys):
+    wav = write_melody(tmp_path / "m.wav", seed=66)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(wav), "--out", str(tmp_path / "o"), "--top-k", "0"])
+    assert exc.value.code == 2
+    assert "top_k must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     wav = write_melody(tmp_path / "m.wav", seed=61)
     target = tmp_path / "envout"

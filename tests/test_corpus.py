@@ -221,6 +221,23 @@ def test_corpus_single_piece_no_matrix():
     assert report.summary_rows[0]["id"] == "only"
 
 
+def test_matrix_and_report_reject_bad_alignment_and_too_few_pieces():
+    a = manual_network([60, 62], [(60, 62)])
+    with pytest.raises(ValueError, match="unknown alignment"):
+        degree_correlation_matrix({"a": a, "b": a}, alignment="outer")
+    with pytest.raises(ValueError, match="at least two pieces"):
+        degree_correlation_matrix({"a": a})
+    with pytest.raises(ValueError, match="at least one piece"):
+        corpus_report({})
+
+
+def test_summary_csv_of_no_rows_is_the_header_alone():
+    report = CorpusReport(
+        piece_ids=(), corr_matrix=None, clique_histograms={}, clique_sizes={}, summary_rows=[], family_share={}
+    )
+    assert summary_csv(report) == ",".join(corpus.SUMMARY_COLUMNS) + "\r\n"
+
+
 def test_corpus_exponential_pieces_family_share():
     analyses = {f"p{i:02d}": analysis_for(100 + i) for i in range(14)}
     report = corpus_report(analyses)

@@ -468,6 +468,14 @@ def test_fit_mle_rejects_values_at_or_below_zero_only_for_the_positive_families(
         assert distfit.fit_mle(family, x).family is family
 
 
+@pytest.mark.parametrize("x", _NON_POSITIVE_SAMPLES)
+def test_report_to_dict_writes_each_failed_family_as_an_error(x):
+    families = distfit.report_to_dict(distfit.best_fit(x))["families"]
+    assert set(families) == {fam.value for fam in ALL_FAMILIES}
+    for fam in _POSITIVE_FAMILIES:
+        assert families[fam.value] == {"error": f"{fam.value} requires strictly positive samples", "converged": False}
+
+
 def test_family_table_covers_every_family_and_says_which_fit_loc():
     assert set(distfit._FAMILIES) == set(DistFamily)
     x = np.random.default_rng(9).lognormal(1.0, 0.6, 500) + 0.5

@@ -22,7 +22,7 @@ from soundnet.network import (
     grid_bin,
     largest_clique,
 )
-from soundnet.selftest import max_clique_size_bruteforce, random_network
+from soundnet.selftest import max_clique_bruteforce, random_network
 
 GRID = PitchGrid()
 ROOT = Path(__file__).resolve().parents[1]
@@ -326,7 +326,7 @@ def test_clique_matches_bruteforce_on_seeded_graphs():
         net = random_network(12, 0.5, rng)
         index = {b.midi_lower: i for i, b in enumerate(net.nodes)}
         edges = [(index[a], index[b]) for a, b in net.edges]
-        assert len(largest_clique(net)) == max_clique_size_bruteforce(12, edges)
+        assert len(largest_clique(net)) == len(max_clique_bruteforce(12, edges))
 
 
 def test_clique_deterministic_tiebreak():

@@ -185,6 +185,16 @@ def test_peak_params_validation():
         spectral.PeakParams(floor_db=3.0)
 
 
+def test_peak_params_rejects_top_k_below_one():
+    with pytest.raises(ValueError, match="top_k must be >= 1"):
+        spectral.PeakParams(top_k=0)
+
+
+def test_stft_empty_buffer_raises_empty_input():
+    with pytest.raises(EmptyInput):
+        spectral.extract_sequence_stft(AudioBuffer(samples=np.zeros(0), sample_rate_hz=8000))
+
+
 def test_local_maxima_plateau_lowest_index():
     mag = np.array([0.0, 1.0, 5.0, 5.0, 5.0, 2.0, 0.0])
     peaks = spectral._pick_peaks(mag[None, :], 1e-300)[0]

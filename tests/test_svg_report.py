@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from soundnet import distfit, svg_report
 from soundnet.corpus import CorpusReport, corpus_report
-from soundnet.network import PitchGrid, build_network
+from soundnet.network import OCTAVE_BUCKETS, PitchGrid, build_network
 from soundnet.svg_report import spiral_position
 
 NS = "{http://www.w3.org/2000/svg}"
@@ -173,3 +174,70 @@ def test_all_renderers_deterministic():
     assert svg_report.render_clique_bars_svg(report) == svg_report.render_clique_bars_svg(report)
     net = build_network(np.asarray([262.0, 330.0, 392.0, 262.0]), GRID)
     assert svg_report.render_network_svg(net) == svg_report.render_network_svg(net)
+
+
+ESCAPED_IDS = ("a<b", "c&d", "e>f", 'g"h')
+
+
+def hand_report(ids, matrix=None):
+    """A CorpusReport with set matrix cells and clique histograms; no fit runs."""
+    hists = {p: {bucket: (i + j) % 3 for j, bucket in enumerate(OCTAVE_BUCKETS)} for i, p in enumerate(ids)}
+    return CorpusReport(
+        piece_ids=tuple(ids),
+        corr_matrix=matrix,
+        clique_histograms=hists,
+        clique_sizes={p: sum(h.values()) for p, h in hists.items()},
+        summary_rows=[],
+        family_share={},
+    )
+
+
+NULL_MATRIX = [[1.0, None, 0.5], [None, 1.0, -0.25], [0.5, -0.25, 1.0]]
+ESCAPED_MATRIX = [[1.0, 0.3, -0.7, None], [0.3, 1.0, 0.05, 0.9], [-0.7, 0.05, 1.0, -1.0], [None, 0.9, -1.0, 1.0]]
+
+# sha256 of renders the golden corpus does not make: a null heatmap cell, piece
+# ids that need escaping, a single-node network and a one-piece bar chart
+RENDER_PINS = {
+    "heatmap-null-cell": (
+        lambda: svg_report.render_heatmap_svg(hand_report(("a", "b", "c"), NULL_MATRIX)),
+        "f50a3ac4e1acb51080795735d162bae4da976f7ba4999acd6fe8f1f732baa619",
+    ),
+    "heatmap-escaped-ids": (
+        lambda: svg_report.render_heatmap_svg(hand_report(ESCAPED_IDS, ESCAPED_MATRIX)),
+        "17b96e3f2e19b93e5b2ee8f7c452d1fb43d64597413e588f69643d10f81fe941",
+    ),
+    "clique-bars-escaped-ids": (
+        lambda: svg_report.render_clique_bars_svg(hand_report(ESCAPED_IDS)),
+        "6b975c788c05230e90bb5e161e39a7cdd8f3840761fab1bbc65b5d93cf1fb3c7",
+    ),
+    "clique-bars-one-piece": (
+        lambda: svg_report.render_clique_bars_svg(hand_report(("solo",))),
+        "157f15f8fd50d2bf07ac0cdf1dbf406ded3e0f2ac3690ac5c1466aa44efe09b1",
+    ),
+    "network-single-node": (
+        lambda: svg_report.render_network_svg(build_network(np.asarray([440.0, 445.0]), GRID)),
+        "a761b570cbb236a0a272a91911428dcbf8b0d5b5fbd63d01245f29ef41b7f0a7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_PINS))
+def test_render_matches_pinned_bytes(name):
+    render, digest = RENDER_PINS[name]
+    assert hashlib.sha256(render()).hexdigest() == digest
+
+
+def test_escaped_piece_ids_parse_back_as_label_text():
+    report = hand_report(ESCAPED_IDS, ESCAPED_MATRIX)
+    heat = parse(svg_report.render_heatmap_svg(report))
+    assert [t.text for t in find_all(heat, "text", "row-label")] == list(ESCAPED_IDS)
+    assert [t.text for t in find_all(heat, "text", "col-label")] == list(ESCAPED_IDS)
+    bars = parse(svg_report.render_clique_bars_svg(report))
+    assert {b.get("data-piece") for b in find_all(bars, "rect", "bar")} == set(ESCAPED_IDS)
+    labels = [t.text for t in find_all(bars, "text") if (t.get("transform") or "").startswith("rotate(-45 ")]
+    assert labels == list(ESCAPED_IDS)
+
+
+def test_heatmap_of_one_piece_raises():
+    with pytest.raises(ValueError, match="no correlation matrix"):
+        svg_report.render_heatmap_svg(hand_report(("solo",)))
