@@ -219,47 +219,118 @@ def largest_clique(net: SoundNetwork) -> tuple:
 def _max_clique(masks) -> int:
     """Bitmask of the maximum clique whose sorted index tuple is smallest.
 
-    Greedy-colouring branch and bound after Tomita & Seki (MCQ, 2003). The
-    depth-first search extends the current clique by each candidate in
-    ascending index order, the child's candidates being the later ones that
-    are adjacent to it. Cliques are therefore met in lexicographic order,
-    and since only a strictly larger clique replaces the best, the first
-    maximum clique met is the one kept.
-
-    The bound: at each search node the candidates are split greedily into
-    independent sets, each grown from the highest uncoloured index. A clique
-    holds at most one member of each set, so a clique among the candidates
-    from index v up is no larger than the number of sets whose top index is
-    >= v. Once that count cannot beat the best clique, neither can any
-    later branch, and the node is done.
+    Two steps over the masks relabelled by _degree_order, both answered by
+    _clique_search:
+    1. A plain search finds a maximum clique, and with it omega, the clique
+       number.
+    2. A lexicographic construction scans the vertices in ascending index
+       order, keeping v iff v's later common neighbours within the current
+       candidates hold a clique of the size still missing. Each earlier
+       vertex has been kept or ruled out, so the kept set is the smallest
+       sorted tuple among the maximum cliques. The test is a decision query,
+       which stops at the first clique of the missing size. A witness, a
+       clique of that size among the candidates, answers it without a search
+       whenever v is one of its members; each successful query gives the
+       next witness. So there are at most N + 1 searches.
     """
-    excl = [~(mask | 1 << v) for v, mask in enumerate(masks)]
-    best_size = best = 0
+    adj, bit_of = _degree_order(masks)
+    bits = [1 << v for v in range(len(adj))]
+    excl = [~(mask | bit) for mask, bit in zip(adj, bits)]
+    cand = (1 << len(adj)) - 1
+    witness = _clique_search(adj, excl, bits, cand, 0, len(adj))
+    need = witness.bit_count()
+    clique = 0
+    for i, v in enumerate(bit_of):
+        if not need:
+            break
+        if not cand & bits[v]:
+            continue
+        cand ^= bits[v]
+        later = cand & adj[v]
+        if witness & bits[v]:
+            witness ^= bits[v]
+        elif need > 1:
+            witness = _clique_search(adj, excl, bits, later, need - 2, need - 1)
+            if not witness:
+                continue
+        clique |= 1 << i
+        cand = later
+        need -= 1
+    return clique
 
-    def expand(size: int, members: int, cand: int):
+
+def _degree_order(masks) -> tuple:
+    """The masks relabelled in descending degree order, ties by ascending index.
+
+    The node of highest degree takes the top bit and the node of lowest
+    degree bit 0. Returns the relabelled masks and each node's new bit. The
+    order sets only the search's speed, never its result. The permutation
+    runs on an unpacked 0/1 matrix, since a Python loop over the set bits
+    costs several times more.
+    """
+    n = len(masks)
+    nbytes = (n + 7) // 8
+    node_at = sorted(range(n), key=lambda i: (masks[i].bit_count(), -i))  # bit b holds node node_at[b]
+    rows = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8)
+    matrix = np.unpackbits(rows.reshape(n, nbytes), axis=1, count=n, bitorder="little")
+    packed = np.packbits(matrix[np.ix_(node_at, node_at)], axis=1, bitorder="little").tobytes()
+    adj = [int.from_bytes(packed[b * nbytes : (b + 1) * nbytes], "little") for b in range(n)]
+    return adj, np.argsort(node_at).tolist()
+
+
+def _clique_search(adj, excl, bits, cand, floor: int, goal: int) -> int:
+    """Bitmask of a clique within `cand` of more than `floor` members, or 0.
+
+    The largest such clique, unless one of `goal` members is met first: the
+    search then stops there, which makes it a decision query. `excl[v]` is
+    the complement of v's closed neighbourhood and `bits[v]` is 1 << v, both
+    made once per graph.
+
+    Bitset branch and bound after San Segundo, Rodriguez-Losada & Jimenez
+    (BBMC, 2011). At each search node the candidates are split greedily into
+    colour classes (independent sets), each grown in vertex order from the
+    highest uncoloured bit. A clique holds at most one member of each class,
+    so a vertex of colour k cannot extend the current clique by more than k.
+    Only the classes whose colour can beat the best clique are kept. The
+    search branches on their vertices from the highest colour down, lowest
+    bit first within a class, and drops each vertex from the candidates once
+    its branch is done. With the degree order, the classes are grown from
+    the high-degree vertices and the search branches on the low-degree ones
+    first.
+    """
+    best_size, best = floor, 0
+
+    def expand(size: int, members: int, cand: int) -> bool:
         nonlocal best_size, best
         if size > best_size:
             best_size, best = size, members
-        tops = []  # top index of each colour class, descending
-        rest = cand
+            if size >= goal:
+                return True
+        need = best_size - size  # a branch must add more than this many members
+        classes = []  # the colour classes need + 1, need + 2, ... as bitmasks
+        rest, colour = cand, 0
         while rest:
-            tops.append(rest.bit_length() - 1)
-            free = rest
+            colour += 1
+            free = start = rest
             while free:
                 v = free.bit_length() - 1
-                rest ^= 1 << v
+                rest ^= bits[v]
                 free &= excl[v]
-        need = best_size - size  # a branch must add more than this many members
-        while cand and need < len(tops):
-            low = cand & -cand
-            v = low.bit_length() - 1
-            if v > tops[need]:
-                return
-            expand(size + 1, members | low, cand & masks[v])
-            cand ^= low
-            need = best_size - size
+            if colour > need:
+                classes.append(start ^ rest)
+        for colour in range(need + len(classes), need, -1):
+            todo = classes[colour - need - 1]
+            while todo:
+                if size + colour <= best_size:
+                    return False
+                low = todo & -todo
+                todo ^= low
+                if expand(size + 1, members | low, cand & adj[low.bit_length() - 1]):
+                    return True
+                cand ^= low
+        return False
 
-    expand(0, 0, (1 << len(masks)) - 1)
+    expand(0, 0, cand)
     return best
 
 

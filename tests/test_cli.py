@@ -375,7 +375,7 @@ def test_out_precedence_flag_then_config_file_then_env_var(tmp_path, monkeypatch
 def test_selftest_command(capsys):
     assert main(["selftest", "--seed", "42"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 4
+    assert out.count("PASS") == 5
     assert main(["selftest", "--seed", "7"]) == 0
 
 
