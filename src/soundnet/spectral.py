@@ -7,12 +7,13 @@ downstream artifact is bit-reproducible; the bin width is the documented
 accuracy bound.
 
 The STFT is one flat pass over the signal. Frames are strided views of the
-samples; each chunk of frames is windowed, transformed and turned into
-magnitudes in three buffers allocated once per call, and the peaks of the
-chunk are picked candidate-first: only the bins at or above their frame's
-relative threshold are tested, for a strict rise and then a strict fall or,
-where a plateau starts, a fall at its next change within the frame. The
-whole-signal spectrum of the full mode uses the same picker.
+samples; each chunk of frames is windowed (np.hanning), transformed and
+turned into magnitudes, and the peaks of the chunk are picked
+candidate-first: only the bins at or above their frame's relative threshold
+are tested, for a strict rise and then a strict fall or, where a plateau
+starts, a fall at its next change within the frame. The whole-signal
+spectrum of the full mode uses the same picker, and both modes apply the dB
+floor and report bin k as k * (fs / N) Hz in one helper.
 
 The full mode keeps only the non-negative-frequency half of its transform
 (the rfft half); Spectrum.bins builds the conjugate mirror on demand. Its
@@ -34,8 +35,8 @@ from .errors import EmptyInput, TransformTooLarge
 
 # STFT frames per rfft batch, chosen by measurement: on 60 s melodies at frame
 # size 4096, 64 frames per chunk beat 256. A chunk's working set is at most
-# about 35 * frame_size bytes per frame, reached when nearly every bin is a
-# peak candidate (noise, silence): 8.7 MiB at 4096, 140 MiB at MAX_FRAME_SIZE.
+# about 19 * frame_size bytes per frame, reached when nearly every bin is a
+# peak candidate (noise, silence): 4.7 MiB at 4096, 72 MiB at MAX_FRAME_SIZE.
 _CHUNK_FRAMES = 64
 MAX_FRAME_SIZE = 1 << 16
 MAX_FULL_FFT = 1 << 26
@@ -46,7 +47,7 @@ class PeakParams:
     """Tunables for spectral peak extraction.
 
     frame_size is a power of two from 2 to MAX_FRAME_SIZE (2^16), which bounds
-    the STFT's working set at about 140 MiB whatever the signal's length
+    the STFT's working set at about 72 MiB whatever the signal's length
     (see _CHUNK_FRAMES).
     rel_threshold is a fraction of the per-frame maximum magnitude; floor_db
     is relative to the global maximum magnitude of the whole signal.
@@ -85,10 +86,6 @@ class Spectrum:
     def bins(self) -> np.ndarray:
         """All N complex bins: the half, then the conjugate mirror of bins N/2-1 down to 1."""
         return np.concatenate([self.half, np.conj(self.half[-2:0:-1])])
-
-    def bin_hz(self, k):
-        """The frequency of bin k (a number or an array) in Hz."""
-        return k * (self.sample_rate_hz / self.n_fft)
 
 
 @dataclass(frozen=True)
@@ -162,6 +159,12 @@ def _pick_peaks(mag: np.ndarray, rel_threshold: float):
     return c[peak], row_max
 
 
+def _floored_sequence(k, m, top, params, sample_rate_hz, n_fft) -> FrequencySequence:
+    """Bins k, of magnitudes m, that reach params.floor_db below top, in Hz: k * (fs / N), bit for bit."""
+    keep = m >= top * 10.0 ** (params.floor_db / 20.0)
+    return FrequencySequence(values_hz=k[keep].astype(np.float64) * (sample_rate_hz / n_fft), extraction_params=params)
+
+
 def extract_sequence_full(spectrum: Spectrum, params: PeakParams | None = None) -> FrequencySequence:
     """Peak frequencies of a whole-signal spectrum, ascending in Hz.
 
@@ -174,12 +177,7 @@ def extract_sequence_full(spectrum: Spectrum, params: PeakParams | None = None) 
     params = params or PeakParams()
     mag = np.abs(spectrum.half)
     peaks, top = _pick_peaks(mag[None, :], params.rel_threshold)
-    peaks = peaks[mag[peaks] >= top[0] * 10.0 ** (params.floor_db / 20.0)]
-    return FrequencySequence(values_hz=spectrum.bin_hz(peaks.astype(np.float64)), extraction_params=params)
-
-
-def hann_window(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+    return _floored_sequence(peaks, mag[peaks], top[0], params, spectrum.sample_rate_hz, spectrum.n_fft)
 
 
 def extract_sequence_stft(audio: AudioBuffer, params: PeakParams | None = None) -> FrequencySequence:
@@ -199,20 +197,12 @@ def extract_sequence_stft(audio: AudioBuffer, params: PeakParams | None = None) 
     if x.size < size:
         x = np.concatenate([x, np.zeros(size - x.size)])
     frames = sliding_window_view(x, size)[::hop]
-    window = hann_window(size)
-    chunk = min(_CHUNK_FRAMES, len(frames))
-    windowed = np.empty((chunk, size))
-    spectrum = np.empty((chunk, size // 2 + 1), dtype=np.complex128)
-    magnitude = np.empty((chunk, size // 2 + 1))
+    window = np.hanning(size)
 
     global_max = 0.0
     bins, mags = [], []  # per frame, its top_k peaks, strongest first
-    for start in range(0, len(frames), chunk):
-        block = frames[start : start + chunk]
-        win, spec, mag = (buf[: len(block)] for buf in (windowed, spectrum, magnitude))
-        np.multiply(block, window, out=win)
-        np.fft.rfft(win, axis=-1, out=spec)
-        np.abs(spec, out=mag)
+    for start in range(0, len(frames), _CHUNK_FRAMES):
+        mag = np.abs(np.fft.rfft(frames[start : start + _CHUNK_FRAMES] * window, axis=-1))
         peaks, frame_max = _pick_peaks(mag, params.rel_threshold)
         global_max = max(global_max, frame_max.max())
         r, k = np.divmod(peaks, mag.shape[1])
@@ -223,9 +213,6 @@ def extract_sequence_stft(audio: AudioBuffer, params: PeakParams | None = None) 
         top = np.arange(r.size) - np.searchsorted(r, r) < params.top_k
         bins.append(k[top])
         mags.append(m[top])
-    k, m = np.concatenate(bins), np.concatenate(mags)
     # the floor only removes a frame's weakest peaks, so applying it after the
     # top_k cut keeps the same set as applying it before
-    keep = m >= global_max * 10.0 ** (params.floor_db / 20.0)
-    values = k[keep].astype(np.float64) * (audio.sample_rate_hz / size)
-    return FrequencySequence(values_hz=values, extraction_params=params)
+    return _floored_sequence(np.concatenate(bins), np.concatenate(mags), global_max, params, audio.sample_rate_hz, size)

@@ -18,11 +18,28 @@ recording moved in the 16th significant digit, and these pins still held.
 A refactor that claims byte-identical output must pass these pins unchanged.
 If a change alters an artifact on purpose, re-pin and record the input and
 the cause in CHANGES.md.
+
+test_golden_holds_across_builds states what does hold across builds. It runs
+the golden commands in subprocesses with AVX512 off, at the X86_V2 baseline
+and with one OpenBLAS thread. Every SVG and matrix CSV must still match its
+pin byte for byte. Every JSON report and summary CSV must match an unmodified
+run in each non-float field, the best family included, and in each float
+within 1e-9 relative.
 """
 
+import csv
 import hashlib
+import json
+import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from conftest import assert_is_path, float32_payload, pcm16_payload, pcm24_payload, sine, wav_bytes
 from soundnet import spectral
@@ -101,17 +118,103 @@ GOLDEN_ANALYZE = {
     "b_pcm24_stereo.json": "3fb37f078461ee22af2ef05e5586684fcbdf6d7d05c0015ab316846930b40af0",
     "b_pcm24_stereo.network.svg": "bd7867780c338ab3db3d61c785e1217eb5592cc37de5d9102313810adc3c2bbb",
 }
+# each golden command writes to its --out directory, run from the directory holding "in"
+GOLDEN = {"stft": GOLDEN_CORPUS_STFT, "full": GOLDEN_CORPUS_FULL, "one": GOLDEN_ANALYZE}
+GOLDEN_COMMANDS = [
+    ["corpus", "in", "--mode", "stft", "--out", "stft"],
+    ["corpus", "in", "--mode", "full", "--out", "full"],
+    ["analyze", "in/b_pcm24_stereo.wav", "--out", "one"],
+]
 
 
 def test_golden_artifacts(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _write_corpus(tmp_path / "in")
-    assert main(["corpus", "in", "--mode", "stft", "--out", "stft"]) == 0
-    assert main(["corpus", "in", "--mode", "full", "--out", "full"]) == 0
-    assert main(["analyze", "in/b_pcm24_stereo.wav", "--out", "one"]) == 0
-    assert _digests(tmp_path / "stft") == GOLDEN_CORPUS_STFT
-    assert _digests(tmp_path / "full") == GOLDEN_CORPUS_FULL
-    assert _digests(tmp_path / "one") == GOLDEN_ANALYZE
+    for argv in GOLDEN_COMMANDS:
+        assert main(argv) == 0
+    assert {out: _digests(tmp_path / out) for out in GOLDEN} == GOLDEN
+
+
+# numpy's dispatch levels, each switched off with the ones above it; a level
+# the CPU lacks is skipped, since switching it off would change nothing
+SIMD_OFF = {
+    "avx512_off": ["X86_V4", "AVX512_ICL", "AVX512_SPR"],
+    "x86_v2": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+}
+BUILD_SETTINGS = {
+    name: {"NPY_DISABLE_CPU_FEATURES": " ".join(f for f in off if __cpu_features__.get(f))}
+    for name, off in SIMD_OFF.items()
+}
+BUILD_SETTINGS["openblas_1_thread"] = {"OPENBLAS_NUM_THREADS": "1"}
+RUN_GOLDEN = "import json, sys; from soundnet.cli import main; sys.exit(max(main(a) for a in json.loads(sys.argv[1])))"
+
+
+def _run_golden(root, corpus, settings):
+    """The golden commands in a fresh interpreter, from root, on a copy of the corpus."""
+    shutil.copytree(corpus, root / "in")
+    env = {k: v for k, v in os.environ.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_NUM_THREADS")}
+    env.update(settings, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run(
+        [sys.executable, "-c", RUN_GOLDEN, json.dumps(GOLDEN_COMMANDS)], cwd=root, env=env, check=True, timeout=300
+    )
+    return root
+
+
+@pytest.fixture(scope="module")
+def unmodified_run(tmp_path_factory):
+    # the corpus is written once, here, so every run reads the same bytes
+    corpus = tmp_path_factory.mktemp("corpus")
+    _write_corpus(corpus / "in")
+    return corpus / "in", _run_golden(tmp_path_factory.mktemp("unmodified"), corpus / "in", {})
+
+
+def _parse_cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _load(path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    with path.open(newline="") as fh:
+        return [[_parse_cell(cell) for cell in row] for row in csv.reader(fh)]
+
+
+def _assert_close(got, want, where):
+    """Equal structure and non-float values; floats within 1e-9 relative."""
+    if isinstance(want, float) and isinstance(got, float):
+        assert math.isclose(got, want, rel_tol=1e-9) or (math.isnan(got) and math.isnan(want)), (where, got, want)
+    elif isinstance(want, dict) and isinstance(got, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, list) and isinstance(got, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+@pytest.mark.parametrize("setting", BUILD_SETTINGS)
+def test_golden_holds_across_builds(setting, unmodified_run, tmp_path):
+    off = SIMD_OFF.get(setting, [])
+    if off and not __cpu_features__.get(off[0]):
+        pytest.skip(f"this CPU lacks {off[0]}")
+    corpus, base = unmodified_run
+    run = _run_golden(tmp_path, corpus, BUILD_SETTINGS[setting])
+    for out, pins in GOLDEN.items():
+        digests = _digests(run / out)
+        assert digests.keys() == pins.keys()
+        for name, digest in pins.items():
+            if name.endswith((".svg", ".matrix.csv")):
+                assert digests[name] == digest, (out, name)
+            else:
+                _assert_close(_load(run / out / name), _load(base / out / name), f"{out}/{name}")
 
 
 def test_golden_pieces_in_full_mode_are_paths(tmp_path):

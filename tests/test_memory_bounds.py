@@ -72,7 +72,7 @@ def test_stft_chunk_working_set_within_documented_bound(kind):
     x = np.random.default_rng(2).standard_normal(n) if kind == "noise" else np.zeros(n)
     audio = AudioBuffer(samples=x, sample_rate_hz=RATE)
     params = spectral.PeakParams(frame_size=size, hop=size)
-    assert traced_peak(spectral.extract_sequence_stft, audio, params) < 36 * size * spectral._CHUNK_FRAMES
+    assert traced_peak(spectral.extract_sequence_stft, audio, params) < 20 * size * spectral._CHUNK_FRAMES
 
 
 @pytest.mark.parametrize("frame_size", [2**17, 2**40])

@@ -34,7 +34,7 @@ def reference_frames(audio, params):
     x = audio.samples
     if x.size < size:
         x = np.concatenate([x, np.zeros(size - x.size)])
-    window = spectral.hann_window(size)
+    window = np.hanning(size)
     global_max = 0.0
     candidates = []
     for i in range(1 + (x.size - size) // hop):
