@@ -142,7 +142,7 @@ def corpus_report(analyses: dict, alignment: str = ALIGN_UNION) -> CorpusReport:
         counts[fit_report.best.value] = counts.get(fit_report.best.value, 0) + 1
         values = (
             piece, fit_report.best.value, best.dist.loc, best.dist.scale, best.ks.statistic_d, best.ks.p_value,
-            len(net.nodes), len(net.edges), sizes[piece], *histograms[piece].values(),
+            len(net.nodes), int(np.count_nonzero(net.adjacency)) // 2, sizes[piece], *histograms[piece].values(),
         )
         rows.append(dict(zip(SUMMARY_COLUMNS, values, strict=True)))
 

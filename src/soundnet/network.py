@@ -14,6 +14,7 @@ decision and every reported bin bound reads its doubles, so a bin's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,54 +115,97 @@ def bin_of(freq_hz: float, grid: PitchGrid | None = None) -> PitchBin | None:
     return grid_bin(midi, grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SoundNetwork:
     """Undirected simple graph over pitch bins, with its derived state.
 
-    Construction is the one place that state is made, however the network
-    was built. `nodes` is stored in ascending MIDI order, which gives each
-    node its rank. Adjacency is one Python-int bitmask per node, built from
-    `edges`: bit j of the mask at rank i is set iff the bins of rank i and j
-    are joined. Degree centrality and the largest clique come from the masks,
-    and the clique's octave histogram from the clique.
+    SoundNetwork(grid, nodes, edges, dropped_components=0). Construction is
+    the one place that state is made, however the network was built. `nodes`
+    is stored in ascending MIDI order, which gives each node its rank.
+    `edges` is any collection of (lo, hi) MIDI pairs or an (E, 2) integer
+    array of them; repeated pairs collapse. Adjacency is one read-only n x n
+    boolean matrix over the ranks, `adjacency`: entry (i, j) is True iff the
+    bins of rank i and j are joined. Degree centrality and the largest clique
+    come from it, and the clique's octave histogram from the clique.
+    `edges` reads back as a frozenset of (lo, hi) MIDI pairs, made from the
+    matrix on first read. Two networks are equal when their derived state is.
     Raises ValueError for two nodes with one MIDI number, and for an edge that
     is not (lo, hi) with lo < hi over the nodes' MIDI numbers.
     """
 
     grid: PitchGrid
     nodes: tuple          # PitchBin, stored in ascending MIDI order
-    edges: frozenset      # frozenset of (midi_a, midi_b) with midi_a < midi_b
-    dropped_components: int = 0
-    degree_centrality: dict = field(init=False)  # midi -> deg/(N-1); empty when N == 1
-    largest_clique: tuple = field(init=False)
-    clique_octaves: dict = field(init=False)  # see clique_octave_histogram
+    dropped_components: int
+    degree_centrality: dict  # midi -> deg/(N-1); empty when N == 1
+    largest_clique: tuple
+    clique_octaves: dict  # see clique_octave_histogram
+    adjacency: np.ndarray = field(compare=False, repr=False)  # read-only (N, N) bool, by rank
+    _masks: tuple = field(repr=False)  # row i of adjacency as a Python int, bit j for rank j
 
-    def __post_init__(self):
-        nodes = tuple(sorted(self.nodes, key=lambda b: b.midi_lower))
-        rank = {b.midi_lower: i for i, b in enumerate(nodes)}
+    def __init__(self, grid: PitchGrid, nodes, edges, dropped_components: int = 0):
+        nodes = tuple(sorted(nodes, key=lambda b: b.midi_lower))
         n = len(nodes)
-        if len(rank) < n:
+        if len({b.midi_lower for b in nodes}) < n:
             raise ValueError("two nodes share a MIDI number")
-        masks = [0] * n
-        for a, b in self.edges:
-            i, j = rank.get(a, -1), rank.get(b, -1)
-            if i < 0 or i >= j:  # an end that is not a node has rank -1
-                raise ValueError(f"edge {(a, b)} is not (lo, hi) with lo < hi over the node MIDI numbers")
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
+        ranks = _edge_ranks(nodes, edges)
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[ranks[:, 0], ranks[:, 1]] = True
+        adjacency[ranks[:, 1], ranks[:, 0]] = True
+        adjacency.flags.writeable = False
 
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_rank", rank)
-        object.__setattr__(self, "_masks", tuple(masks))
-        centrality = {b.midi_lower: mask.bit_count() / (n - 1) for b, mask in zip(nodes, masks)} if n >= 2 else {}
-        object.__setattr__(self, "degree_centrality", centrality)
+        set_field = object.__setattr__
+        set_field(self, "grid", grid)
+        set_field(self, "nodes", nodes)
+        set_field(self, "dropped_components", dropped_components)
+        set_field(self, "adjacency", adjacency)
+        set_field(self, "_masks", tuple(_row_masks(adjacency)))
+        shares = (adjacency.sum(axis=1) / (n - 1)).tolist() if n >= 2 else []
+        set_field(self, "degree_centrality", dict(zip((b.midi_lower for b in nodes), shares)))
         clique = largest_clique(self)
-        object.__setattr__(self, "largest_clique", clique)
-        object.__setattr__(self, "clique_octaves", clique_octave_histogram(clique))
+        set_field(self, "largest_clique", clique)
+        set_field(self, "clique_octaves", clique_octave_histogram(clique))
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """frozenset of (midi_a, midi_b) with midi_a < midi_b."""
+        midis = [b.midi_lower for b in self.nodes]
+        return frozenset((midis[i], midis[j]) for i, j in np.argwhere(np.triu(self.adjacency)).tolist())
 
     @property
     def single_node(self) -> bool:
         return len(self.nodes) == 1
+
+
+def _edge_ranks(nodes: tuple, edges) -> np.ndarray:
+    """The (E, 2) node ranks of each edge's ends, nodes in ascending MIDI order.
+
+    Each end is ranked through a table over the nodes' MIDI range, -1 for a
+    number that is no node. Raises ValueError, naming the first bad pair, for
+    a pair that is not two integers (lo, hi) with lo < hi over the nodes.
+    """
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if pairs.shape == (0,):  # an empty collection
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
+        raise ValueError(f"edges must be (lo, hi) pairs of MIDI numbers, got {pairs.dtype} of shape {pairs.shape}")
+    with np.errstate(invalid="ignore"):  # a NaN or infinite end fails the round trip below
+        ends = pairs.astype(np.int64)
+    midis = np.array([b.midi_lower for b in nodes], dtype=np.int64)
+    base = int(midis[0]) if midis.size else 0
+    span = int(midis[-1]) - base + 1 if midis.size else 0
+    table = np.full(span + 1, -1)  # the last entry, table[-1], ranks every number off the nodes' range
+    table[midis - base] = np.arange(midis.size)
+    ranks = table[np.clip(ends, base - 1, base + span) - base]
+    bad = (ends != pairs).any(axis=1) | (ranks[:, 0] < 0) | (ranks[:, 0] >= ranks[:, 1])
+    if bad.any():
+        edge = tuple(pairs[bad.argmax()].tolist())
+        raise ValueError(f"edge {edge} is not (lo, hi) with lo < hi over the node MIDI numbers")
+    return ranks
+
+
+def _row_masks(matrix: np.ndarray) -> list:
+    """Row i of a square boolean matrix as a Python int: bit j is matrix[i, j]."""
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(matrix, axis=1, bitorder="little")]
 
 
 def build_network(seq, grid: PitchGrid | None = None) -> SoundNetwork:
@@ -192,11 +236,10 @@ def build_network(seq, grid: PitchGrid | None = None) -> SoundNetwork:
     a, b = midis[:-1], midis[1:]
     keep = a != b
     codes = np.flatnonzero(np.bincount(np.minimum(a[keep], b[keep]) * MIDI_HIGH + np.maximum(a[keep], b[keep])))
-    lo, hi = np.divmod(codes, MIDI_HIGH)
     return SoundNetwork(
         grid=grid,
         nodes=tuple(grid_bin(m, grid) for m in np.flatnonzero(np.bincount(midis)).tolist()),
-        edges=frozenset(zip(lo.tolist(), hi.tolist())),
+        edges=np.stack(np.divmod(codes, MIDI_HIGH), axis=1),
         dropped_components=dropped,
     )
 
@@ -207,19 +250,17 @@ def largest_clique(net: SoundNetwork) -> tuple:
     Among maximum cliques of equal size the lexicographically smallest sorted
     MIDI tuple wins. The result is re-verified as a clique before returning.
     """
-    members = _max_clique(net._masks)
-    clique = tuple(b for i, b in enumerate(net.nodes) if members >> i & 1)
-    for i, a in enumerate(clique):
-        for b in clique[i + 1 :]:
-            if (a.midi_lower, b.midi_lower) not in net.edges:
-                raise RuntimeError("internal error: clique verification failed")
-    return clique
+    members = _max_clique(net.adjacency)
+    ranks = [i for i in range(len(net.nodes)) if members >> i & 1]
+    if np.count_nonzero(net.adjacency[np.ix_(ranks, ranks)]) != len(ranks) * (len(ranks) - 1):
+        raise RuntimeError("internal error: clique verification failed")
+    return tuple(net.nodes[i] for i in ranks)
 
 
-def _max_clique(masks) -> int:
+def _max_clique(matrix) -> int:
     """Bitmask of the maximum clique whose sorted index tuple is smallest.
 
-    Two steps over the masks relabelled by _degree_order, both answered by
+    Two steps over the adjacency relabelled by _degree_order, both answered by
     _clique_search:
     1. A plain search finds a maximum clique, and with it omega, the clique
        number.
@@ -233,7 +274,7 @@ def _max_clique(masks) -> int:
        whenever v is one of its members; each successful query gives the
        next witness. So there are at most N + 1 searches.
     """
-    adj, bit_of = _degree_order(masks)
+    adj, bit_of = _degree_order(matrix)
     bits = [1 << v for v in range(len(adj))]
     excl = [~(mask | bit) for mask, bit in zip(adj, bits)]
     cand = (1 << len(adj)) - 1
@@ -259,23 +300,17 @@ def _max_clique(masks) -> int:
     return clique
 
 
-def _degree_order(masks) -> tuple:
-    """The masks relabelled in descending degree order, ties by ascending index.
+def _degree_order(matrix) -> tuple:
+    """The adjacency as bitmasks relabelled in descending degree order, ties
+    by ascending index.
 
     The node of highest degree takes the top bit and the node of lowest
     degree bit 0. Returns the relabelled masks and each node's new bit. The
-    order sets only the search's speed, never its result. The permutation
-    runs on an unpacked 0/1 matrix, since a Python loop over the set bits
-    costs several times more.
+    order sets only the search's speed, never its result.
     """
-    n = len(masks)
-    nbytes = (n + 7) // 8
-    node_at = sorted(range(n), key=lambda i: (masks[i].bit_count(), -i))  # bit b holds node node_at[b]
-    rows = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8)
-    matrix = np.unpackbits(rows.reshape(n, nbytes), axis=1, count=n, bitorder="little")
-    packed = np.packbits(matrix[np.ix_(node_at, node_at)], axis=1, bitorder="little").tobytes()
-    adj = [int.from_bytes(packed[b * nbytes : (b + 1) * nbytes], "little") for b in range(n)]
-    return adj, np.argsort(node_at).tolist()
+    n = len(matrix)
+    node_at = np.lexsort((-np.arange(n), matrix.sum(axis=1)))  # bit b holds node node_at[b]
+    return _row_masks(matrix[np.ix_(node_at, node_at)]), np.argsort(node_at).tolist()
 
 
 def _clique_search(adj, excl, bits, cand, floor: int, goal: int) -> int:
@@ -368,7 +403,7 @@ def network_to_dict(net: SoundNetwork) -> dict:
             }
             for b in net.nodes
         ],
-        "edges": sorted([net._rank[a], net._rank[b]] for a, b in net.edges),
+        "edges": np.argwhere(np.triu(net.adjacency)).tolist(),
         "degree_centrality": {note_name(m): v for m, v in sorted(net.degree_centrality.items())},
         "single_node": net.single_node,
         "largest_clique": [b.lower_note for b in net.largest_clique],

@@ -162,7 +162,7 @@ def run_selftest(seed: int = 42) -> list:
 
     # beyond enumeration: one 108-node graph, about 15 ms for the oracle
     net = random_network(108, 0.6, np.random.default_rng([seed, 108]))
-    got = sum(1 << net._rank[b.midi_lower] for b in largest_clique(net))
+    got = sum(1 << net.nodes.index(b) for b in largest_clique(net))
     want = max_clique_mcq(net._masks)
     detail = f"{got.bit_count()} members, {'equal to' if got == want else 'not'} the oracle's"
     results.append(CheckResult("clique-vs-mcq", got == want, detail))

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_is_path, sine
-from soundnet import network, spectral
+from soundnet import corpus, distfit, network, spectral
 from soundnet.errors import EmptyNetwork, NonFiniteValues, NonPositiveFrequency
 from soundnet.network import (
     OCTAVE_BUCKETS,
@@ -459,15 +459,93 @@ def test_direct_network_equals_built_network(seed):
     assert direct == built
 
 
-@pytest.mark.parametrize(
+BAD_EDGES = pytest.mark.parametrize(
     "edge",
-    [(60, 99), (99, 60), (13, 60), (64, 60), (60, 60)],
-    ids=["hi-not-a-node", "lo-not-a-node", "below-the-nodes", "lo-above-hi", "self-loop"],
+    [(60, 99), (99, 60), (13, 60), (64, 60), (60, 60), (-60, 64), (60, 62.5), (60, np.nan)],
+    ids=[
+        "hi-not-a-node", "lo-not-a-node", "below-the-nodes", "lo-above-hi", "self-loop",
+        "negative", "non-integer", "nan",
+    ],
 )
+
+
+@BAD_EDGES
 def test_direct_network_rejects_bad_edge(edge):
     nodes = tuple(grid_bin(m) for m in (64, 60, 67))
     with pytest.raises(ValueError):
         network.SoundNetwork(grid=GRID, nodes=nodes, edges=frozenset({(60, 64), edge}))
+
+
+@BAD_EDGES
+def test_direct_network_rejects_bad_edge_in_array(edge):
+    nodes = tuple(grid_bin(m) for m in (64, 60, 67))
+    with pytest.raises(ValueError, match="is not"):
+        network.SoundNetwork(grid=GRID, nodes=nodes, edges=np.array([(60, 64), edge]))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [np.array([[60, 64, 67]]), np.array([60, 64]), np.array([["60", "64"]]), [(60, 64), (64, 67, 60)]],
+    ids=["three-columns", "one-dimensional", "strings", "ragged"],
+)
+def test_direct_network_rejects_edges_not_pairs(edges):
+    nodes = tuple(grid_bin(m) for m in (64, 60, 67))
+    with pytest.raises(ValueError):
+        network.SoundNetwork(grid=GRID, nodes=nodes, edges=edges)
+
+
+def loop_masks(midis, edges) -> tuple:
+    """Reference adjacency bitmasks by one loop over the edges, ranks by ascending MIDI."""
+    rank = {m: i for i, m in enumerate(sorted(midis))}
+    masks = [0] * len(rank)
+    for a, b in edges:
+        masks[rank[a]] |= 1 << rank[b]
+        masks[rank[b]] |= 1 << rank[a]
+    return tuple(masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(40, 69), min_size=1, max_size=120), st.integers(0, 2**32 - 1))
+def test_edge_set_array_and_built_network_agree(walk, seed):
+    rng = np.random.default_rng(seed)
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in zip(walk[:-1], walk[1:]) if a != b})
+    rows = rng.permutation(np.array(pairs + pairs[::2], dtype=np.int64).reshape(-1, 2))  # shuffled, some repeated
+    nodes = tuple(grid_bin(m) for m in rng.permutation(sorted(set(walk))).tolist())
+    from_set = network.SoundNetwork(grid=GRID, nodes=nodes, edges=frozenset(pairs))
+    from_array = network.SoundNetwork(grid=GRID, nodes=nodes, edges=rows)
+    built = net_from(GRID.note_freq(np.array(walk)) * 2.0 ** (1.0 / 24.0))
+    for net in (from_set, from_array, built):
+        assert net.edges == frozenset(pairs)
+        assert net._masks == loop_masks(set(walk), pairs)
+        assert net.degree_centrality == built.degree_centrality
+        assert net.largest_clique == built.largest_clique
+        assert network.network_to_dict(net) == network.network_to_dict(built)
+        assert net == built
+
+
+def test_empty_edge_array_and_empty_set_agree():
+    nodes = tuple(grid_bin(m) for m in (64, 60, 67))
+    from_array = network.SoundNetwork(grid=GRID, nodes=nodes, edges=np.empty((0, 2), dtype=np.int64))
+    from_set = network.SoundNetwork(grid=GRID, nodes=nodes, edges=frozenset())
+    assert from_array == from_set
+    assert from_array.edges == frozenset()
+    assert from_array.degree_centrality == {60: 0.0, 64: 0.0, 67: 0.0}
+    assert network.network_to_dict(from_array)["edges"] == []
+    empty = network.SoundNetwork(grid=GRID, nodes=(), edges=frozenset())
+    assert (empty.nodes, empty.edges, empty.largest_clique, empty.degree_centrality) == ((), frozenset(), (), {})
+    assert empty.adjacency.shape == (0, 0)
+
+
+def test_hot_path_builds_no_edge_set():
+    # the JSON report, the corpus summary and the clique read the matrix, never the tuple set
+    draws = np.random.default_rng(11).exponential(scale=300.0, size=2_000) + 40.0
+    net = build_network(draws, GRID)
+    network.network_to_dict(net)
+    corpus.summary_csv(corpus.corpus_report({"piece": (distfit.best_fit(draws), net)}))
+    assert "edges" not in vars(net)
+    assert net.adjacency.dtype == bool and net.adjacency.shape == (len(net.nodes),) * 2
+    with pytest.raises(ValueError):
+        net.adjacency[0, 1] = not net.adjacency[0, 1]
 
 
 def test_direct_network_rejects_duplicate_node():
