@@ -9,6 +9,13 @@ The Gibrat and exponentiated-Weibull fits profile out the parameter with a
 closed-form conditional MLE (the Gibrat scale, the exponentiated-Weibull
 shape a) and search over the rest.
 
+best_fit and fit_mle sort the sample once, and every fitter and the KS
+statistic read that one sorted copy. Every sum of products is
+np.einsum("i,i", a, b), numpy's own loop, not np.dot, which goes to BLAS and
+sums in an order that follows OpenBLAS's thread count. So each fit float
+depends only on the sample's values: not on their order, and not on the
+number of BLAS threads.
+
 Gibrat here means a lognormal with the shape pinned at 1, i.e. density
 exp(-(log z)^2 / 2) / (z * sqrt(2*pi)) on z > 0. Its profile likelihood has
 one parameter, loc < min(x), and the score and its derivative have closed
@@ -40,14 +47,14 @@ there. The power-law MLE has a closed form. The Frechet MLE, found only where
 a step leaves the a bound, has its scale in closed form and its shape from
 _root_search. A stop below both that leaves the a bound, or the c bound with P
 still falling, has left the bounds. A sample of n >= 32,768 values is first
-searched on a pilot of its order statistics, sort(x)[k // 2 :: k] with
-k = n // 4,096 (4,096 to 4,608 points). The search on the full sample then
-starts at the pilot's last point, whatever its outcome, and decides every stop
-and reason, and so the reported point, on its own; on the benchmark's noise
-recordings the pilot takes 11-19 evaluations and the full sample 1-4. A stop
-on the c bound, where P is nearly flat, can lie elsewhere than a cold search's
-(its KS D moved by up to 1.3e-3 on those recordings). The term
-log(1 - exp(-t)), t = (x/scale)^c, follows Maechler (2012, "Accurately
+searched on a pilot of its order statistics, x[k // 2 :: k] of the sorted
+sample with k = n // 4,096 (4,096 to 4,608 points). The search on the full
+sample then starts at the pilot's last point, whatever its outcome, and
+decides every stop and reason, and so the reported point, on its own; on the
+benchmark's noise recordings the pilot takes 11-19 evaluations and the full
+sample 1-4. A stop on the c bound, where P is nearly flat, can lie elsewhere
+than a cold search's (its KS D moved by up to 1.3e-3 on those recordings). The
+term log(1 - exp(-t)), t = (x/scale)^c, follows Maechler (2012, "Accurately
 computing log(1 - exp(-|a|))"): log(-expm1(-t)) up to t = log 2,
 log1p(-exp(-t)) above, and the asymptote w - t/2 where w = log t < -30, as t
 underflows. The density and CDF are exp of their logs everywhere.
@@ -89,8 +96,8 @@ _MAX_STEP = 2.0
 _EIG_FLOOR = 1e-8
 _EXPWEIB_MAX_EVALS = 100
 # A sample of at least _PILOT_MIN_N values is first searched on the pilot
-# sort(x)[k // 2 :: k], k = n // _PILOT_POINTS >= 8: 4,096 to 4,608 order
-# statistics, so a pilot evaluation costs about 1/k of a full one.
+# x[k // 2 :: k] of the sorted sample, k = n // _PILOT_POINTS >= 8: 4,096 to
+# 4,608 order statistics, so a pilot evaluation costs about 1/k of a full one.
 _PILOT_POINTS = 4096
 _PILOT_MIN_N = 8 * _PILOT_POINTS
 # below w = log t = -30, log(1 - exp(-t)) equals w - t/2 to double precision
@@ -355,9 +362,9 @@ def _gibrat_score(x, lo, spread, v):
     log_scale = float(np.mean(lxl))
     lz = lxl - log_scale
     r = spread / d
-    s1 = float(np.dot(r, 1.0 + lz))
+    s1 = float(np.einsum("i,i", r, 1.0 + lz))
     sr = float(np.sum(r))
-    s2 = float(np.dot(r * r, lz))
+    s2 = float(np.einsum("i,i", r * r, lz))
     return t * s1, t * s1 - t * t * (s2 + sr * sr / x.size), (loc, math.exp(log_scale))
 
 
@@ -437,10 +444,10 @@ def _expweib_profile(lx, sum_lx, theta):
         g = t / np.expm1(t)
         d1 = (a - 1.0) * g - t + 1.0
         d2 = (a - 1.0) * (g * (1.0 - g - t)) - t
-        s1, s1e = float(np.sum(d1)), float(np.dot(d1, eta))
+        s1, s1e = float(np.sum(d1)), float(np.einsum("i,i", d1, eta))
         d2e = d2 * eta
-        s2, s2e, s2ee = float(np.sum(d2)), float(np.sum(d2e)), float(np.dot(d2e, eta))
-        v = np.array([float(np.dot(g, eta)), -c * float(np.sum(g))])
+        s2, s2e, s2ee = float(np.sum(d2)), float(np.sum(d2e)), float(np.einsum("i,i", d2e, eta))
+        v = np.array([float(np.einsum("i,i", g, eta)), -c * float(np.sum(g))])
         grad = np.array([-(n + s1e), c * s1])
         hess = -np.array([[s2ee + s1e, -c * (s2e + s1)], [-c * (s2e + s1), c * c * s2]]) - (a * a / n) * np.outer(v, v)
     if not (math.isfinite(ll) and np.isfinite(grad).all() and np.isfinite(hess).all()):
@@ -462,12 +469,12 @@ def _newton_step(grad, hess):
 def _fit_expweib(x):
     # for a fixed (c, scale) the MLE of the shape a is -n / sum(log(1 - exp(-z^c))),
     # so the search is over theta = (log c, log scale) alone; on a large sample it
-    # starts where a search on _PILOT_POINTS of its order statistics ended
+    # starts where a search on _PILOT_POINTS of its order statistics ended (x is sorted)
     start = None
     if x.size >= _PILOT_MIN_N:
         k = x.size // _PILOT_POINTS
         try:
-            pilot = _search_expweib(np.sort(x)[k // 2 :: k], None)[0]
+            pilot = _search_expweib(x[k // 2 :: k], None)[0]
             start = np.log([pilot.shape_params[1], pilot.scale])
         except (InvalidFit, ValueError, ArithmeticError):  # a pilot fit _fit would reject, as on tied values
             pass  # the full search takes its default start
@@ -545,8 +552,8 @@ def _frechet_score(lx, sum_lx, u):
     d = lx - lo
     w = np.exp(-alpha * d)
     sw = float(np.sum(w))
-    m = float(np.dot(w, d)) / sw
-    var = float(np.dot(w, (d - m) ** 2)) / sw
+    m = float(np.einsum("i,i", w, d)) / sw
+    var = float(np.einsum("i,i", w, (d - m) ** 2)) / sw
     sum_d = sum_lx - n * lo
     g = alpha * (sum_d - n * m) - n
     nll = n * (math.log(sw) - u - math.log(n) + 1.0) + sum_lx + alpha * sum_d
@@ -562,10 +569,11 @@ def _frechet_limit_nll(lx, sum_lx):
 
 @dataclass(frozen=True)
 class _Family:
-    """One candidate family: `fit(x)` returns its (FittedDistribution, reason);
-    `pdf` and `cdf` are called as f(x, shape_params, loc, scale); `positive`
-    means the support needs every sample > 0, which _fit checks before `fit`
-    runs; `fits_loc` means loc is fitted, not fixed at 0."""
+    """One candidate family: `fit(x)` receives the sample sorted ascending and
+    returns its (FittedDistribution, reason); `pdf` and `cdf` are called as
+    f(x, shape_params, loc, scale); `positive` means the support needs every
+    sample > 0, which _fit checks before `fit` runs; `fits_loc` means loc is
+    fitted, not fixed at 0."""
 
     fit: object
     pdf: object
@@ -597,9 +605,10 @@ def _check_samples(samples) -> np.ndarray:
 
 
 def _fit(family: DistFamily, x: np.ndarray):
-    """The family's (fit, reason); InvalidFit if x leaves a positive family's
-    support, if the fitter raises ValueError or ArithmeticError (with its
-    message), or if a parameter is not finite or the scale is not positive."""
+    """The family's (fit, reason) on the sample x, sorted ascending; InvalidFit
+    if x leaves a positive family's support, if the fitter raises ValueError or
+    ArithmeticError (with its message), or if a parameter is not finite or the
+    scale is not positive."""
     record = _FAMILIES[family]
     if record.positive and x.min() <= 0.0:
         raise InvalidFit(f"{family.value} requires strictly positive samples")
@@ -625,8 +634,7 @@ def fit_mle(family: DistFamily, samples) -> FittedDistribution:
     evaluation cap or finds no root, or if the likelihood's supremum lies on a
     boundary of the parameter space.
     """
-    x = _check_samples(samples)
-    fit, reason = _fit(family, x)
+    fit, reason = _fit(family, np.sort(_check_samples(samples)))
     if reason is not None:
         raise NonConvergence(f"{family.value} fit did not converge: {reason}", fit=fit)
     return fit
@@ -727,14 +735,13 @@ def best_fit(samples) -> FitReport:
     """Fit all seven families, KS-score each, and pick the converged fit with the
     smallest D (ties: fewer free parameters, counting the shapes, the scale and a
     fitted loc, then family name). An InvalidFit family goes to `failed`."""
-    x = _check_samples(samples)
-    x_sorted = np.sort(x)
+    x = np.sort(_check_samples(samples))
     per_family = {}
     failed = {}
     for family in ALL_FAMILIES:
         try:
             fit, reason = _fit(family, x)
-            ks = _ks_sorted(fit, x_sorted)
+            ks = _ks_sorted(fit, x)
             if not math.isfinite(ks.statistic_d):
                 raise InvalidFit(f"{family.value} fit has a non-finite KS statistic: {fit.params_list()}")
         except InvalidFit as exc:
