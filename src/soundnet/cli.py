@@ -88,6 +88,17 @@ class RunConfig:
         return network.PitchGrid(a4_hz=self.a4_hz)
 
 
+def _utf8(text: str) -> str:
+    """A path-derived string as valid UTF-8: each byte of the name that is not
+    UTF-8 (held by Python as a surrogate escape) is written as \\xNN."""
+    return os.fsencode(text).decode("utf-8", "backslashreplace")
+
+
+def _echo(config: RunConfig) -> dict:
+    """The config as every report echoes it."""
+    return {**asdict(config), "out": _utf8(config.out)}
+
+
 def _dump_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=1)
     path.write_text(text + "\n", encoding="utf-8")
@@ -118,8 +129,8 @@ def analyze_file(path, config: RunConfig):
     net = network.build_network(seq, config.grid())
 
     report = {
-        "config": asdict(config),
-        "source_path": str(path),
+        "config": _echo(config),
+        "source_path": _utf8(str(path)),
         "sample_rate_hz": audio.sample_rate_hz,
         "n_samples": len(audio),
         "duration_s": audio.duration_s,
@@ -141,11 +152,13 @@ def _write_piece_artifacts(out_dir: Path, piece: str, report, fit_report, net, s
 
 def _make_out_dir(config: RunConfig) -> Path | None:
     """The output directory, created if missing; None, after an error line, if
-    --out names a file or the directory cannot be made."""
+    --out names a file or the directory cannot be made. A --config file's out
+    can hold what no file name can (a NUL, a surrogate that stands for no
+    byte), which raises ValueError."""
     out_dir = Path(config.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: --out {config.out}: {exc}", file=sys.stderr)
         return None
     return out_dir
@@ -155,7 +168,7 @@ def cmd_analyze(path: str, config: RunConfig) -> int:
     out_dir = _make_out_dir(config)
     if out_dir is None:
         return 2
-    piece = Path(path).stem
+    piece = _utf8(Path(path).stem)
     try:
         report, fit_report, net, seq = analyze_file(path, config)
     except (SoundnetError, OSError) as exc:
@@ -172,16 +185,18 @@ def _analysis_exit(exc, path) -> int:
 
 
 def _piece_ids(paths) -> dict:
-    """file path -> unique piece id: the stem, or on a collision the stem with
-    the least suffix -k (k >= 2) that is neither given yet nor another file's stem."""
-    stems = {path.stem for path in paths}
+    """file path -> unique piece id: the stem as _utf8 writes it, or on a
+    collision that stem with the least suffix -k (k >= 2) that is neither given
+    yet nor another file's stem."""
+    stems = {_utf8(path.stem) for path in paths}
     given = set()
     ids = {}
     for path in paths:
-        piece, k = path.stem, 1
+        stem = _utf8(path.stem)
+        piece, k = stem, 1
         while piece in given or (k > 1 and piece in stems):
             k += 1
-            piece = f"{path.stem}-{k}"
+            piece = f"{stem}-{k}"
         given.add(piece)
         ids[path] = piece
     return ids
@@ -190,13 +205,17 @@ def _piece_ids(paths) -> dict:
 def _corpus_piece(path, piece: str, config: RunConfig, out_dir: Path):
     """Analyze one corpus piece and write its artifacts.
 
-    Returns (fit_report, net), or the reason the piece is skipped: an analysis
-    error, or a degenerate fit (no artifacts are written for it).
+    Returns (fit_report, net), or the reason the piece is skipped: not a
+    regular file (a FIFO, whose read would block, a directory, a socket or a
+    broken link; never opened), an analysis error, or a degenerate fit (no
+    artifacts are written for it).
     """
+    if not path.is_file():
+        return "not a regular file"
     try:
         report, fit_report, net, seq = analyze_file(path, config)
     except (SoundnetError, OSError) as exc:
-        return str(exc)
+        return _utf8(str(exc))  # a decode error may quote the path
     if fit_report is None:
         return report["fit"]["error"]
     _write_piece_artifacts(out_dir, piece, report, fit_report, net, seq)
@@ -239,11 +258,11 @@ def cmd_corpus(directory: str, config: RunConfig, jobs: int | None = None) -> in
         (out_dir / "corpus.matrix.csv").write_text(corpus_mod.matrix_csv(report), encoding="utf-8")
         (out_dir / "corpus.heatmap.svg").write_bytes(svg_report.render_heatmap_svg(report))
     (out_dir / "corpus.cliques.svg").write_bytes(svg_report.render_clique_bars_svg(report))
-    collisions = {str(path): piece for path, piece in ids.items() if piece != path.stem}
+    collisions = {_utf8(str(path)): piece for path, piece in ids.items() if piece != _utf8(path.stem)}
     _dump_json(
         out_dir / "corpus.json",
         {
-            "config": asdict(config),
+            "config": _echo(config),
             "pieces": sorted(analyses),
             "skipped": skipped,
             "piece_id_collisions": collisions,

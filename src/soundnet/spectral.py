@@ -16,11 +16,11 @@ spectrum of the full mode uses the same picker, and both modes apply the dB
 floor and report bin k as k * (fs / N) Hz in one helper.
 
 The full mode keeps only the non-negative-frequency half of its transform
-(the rfft half); Spectrum.bins builds the conjugate mirror on demand. Its
-transform size is capped at MAX_FULL_FFT = 2^26 points (about 25 minutes at
-44.1 kHz). The transform and the peak picking then take about 1.6 GiB on
-broadband noise (25.5 bytes per point, traced at 2^19 points); longer
-signals raise TransformTooLarge.
+(the rfft half); for real input the other bins are its conjugate mirror,
+which no stage needs. Its transform size is capped at MAX_FULL_FFT = 2^26
+points (about 25 minutes at 44.1 kHz). The transform and the peak picking
+then take about 1.6 GiB on broadband noise (25.5 bytes per point, traced at
+2^19 points); longer signals raise TransformTooLarge.
 """
 
 from __future__ import annotations
@@ -76,16 +76,12 @@ class PeakParams:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """DFT of a real signal, held as its bins 0..N/2 (the rfft half)."""
+    """DFT of a real signal, held as its bins 0..N/2 (the rfft half); all N
+    bins are np.concatenate([half, np.conj(half[-2:0:-1])])."""
 
     half: np.ndarray
     n_fft: int
     sample_rate_hz: float
-
-    @property
-    def bins(self) -> np.ndarray:
-        """All N complex bins: the half, then the conjugate mirror of bins N/2-1 down to 1."""
-        return np.concatenate([self.half, np.conj(self.half[-2:0:-1])])
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,12 @@ def tone_buffer(freq_hz, seconds, rate, amplitude=0.5):
     return AudioBuffer(samples=sine(freq_hz, seconds, rate, amplitude), sample_rate_hz=rate)
 
 
+def full_bins(spec):
+    """All N complex bins of a spectrum: its rfft half, then the conjugate
+    mirror of bins N/2-1 down to 1."""
+    return np.concatenate([spec.half, np.conj(spec.half[-2:0:-1])])
+
+
 def dense_ks(fit, x_sorted):
     """The KS result of `fit` on a sorted sample, with the CDF evaluated at every
     sample: the reference for distfit's blocked KS statistic."""
@@ -60,6 +66,14 @@ def dense_ks(fit, x_sorted):
     i = np.arange(1, n + 1, dtype=np.float64)
     d = float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
     return distfit.KsResult(d, distfit._kolmogorov_q((math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d), n)
+
+
+def assert_utf8_artifacts(out_dir):
+    """Every file in out_dir holds bytes, and they decode as UTF-8."""
+    for path in out_dir.iterdir():
+        data = path.read_bytes()
+        assert data, path
+        data.decode("utf-8")
 
 
 def assert_is_path(net):

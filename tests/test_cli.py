@@ -1,10 +1,15 @@
+import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import float32_payload, sine, wav_bytes
+from conftest import assert_utf8_artifacts, float32_payload, sine, wav_bytes
 from soundnet import network, spectral
 from soundnet.cli import RunConfig, _piece_ids, main
 
@@ -327,6 +332,18 @@ def test_out_naming_an_existing_file_exit_2(tmp_path, capsys, command):
     assert out.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("name", ["o\ud800", "o\x00"], ids=["lone_surrogate", "nul"])
+def test_config_out_that_no_file_name_can_hold_exit_2(tmp_path, monkeypatch, name):
+    # the interpreter's stderr writes a lone surrogate as an escape; capsys's would raise
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", err)
+    wav = write_melody(tmp_path / "m.wav", seed=66)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / name)}), encoding="utf-8")
+    assert main(["analyze", str(wav), "--config", str(cfg), *MELODY_FLAGS]) == 2
+    assert err.getvalue().startswith("error: --out ")
+
+
 @pytest.mark.parametrize("flags", [["--frame-size", str(2**17)], ["--frame-size", str(2**40)], ["--a4", "1e-300"]])
 def test_out_of_range_frame_size_and_a4_exit_2_before_any_work(tmp_path, capsys, flags):
     wav = write_melody(tmp_path / "m.wav", seed=66)
@@ -402,6 +419,12 @@ def test_piece_id_collision_suffixes(tmp_path):
     assert ids[b] == "x-2"
 
 
+def test_piece_ids_are_unique_after_escaping_non_utf8_bytes(tmp_path):
+    escaped = tmp_path / "bad\\xff.wav"  # a literal backslash
+    raw = tmp_path / os.fsdecode(b"bad\xff.wav")
+    assert _piece_ids(sorted([raw, escaped])) == {escaped: "bad\\xff", raw: "bad\\xff-2"}
+
+
 def test_corpus_keeps_every_piece_whose_suffixed_id_is_another_stem(tmp_path):
     # sorted order: "a-2" is given to a-2.wav before a.wav collides with a.WAV
     corpus_dir = tmp_path / "corpus"
@@ -417,6 +440,50 @@ def test_corpus_keeps_every_piece_whose_suffixed_id_is_another_stem(tmp_path):
     assert len(corpus_json["pieces"]) == 3
     assert corpus_json["skipped"] == {}
     assert {p.name for p in out.glob("*.json")} == {f"{piece}.json" for piece in corpus_json["pieces"]} | {"corpus.json"}
+
+
+@pytest.mark.parametrize("command", ["analyze", "corpus"])
+def test_non_utf8_file_names_are_written_as_escapes(tmp_path, command):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    write_melody(corpus_dir / "ok.wav", seed=70)
+    bad = corpus_dir / os.fsdecode(b"bad\xff.wav")
+    out = tmp_path / os.fsdecode(b"out\xfe")
+    try:
+        bad.write_bytes((corpus_dir / "ok.wav").read_bytes())
+        out.mkdir()
+    except OSError:
+        pytest.skip("the filesystem rejects names that are not UTF-8")
+    target = bad if command == "analyze" else corpus_dir
+    assert main([command, str(target), "--out", str(out), *MELODY_FLAGS]) == 0
+    assert_utf8_artifacts(out)
+    report = json.loads((out / "bad\\xff.json").read_text(encoding="utf-8"))
+    assert report["piece_id"] == "bad\\xff"
+    assert report["source_path"].endswith("/bad\\xff.wav")
+    assert report["config"]["out"].endswith("/out\\xfe")
+    if command == "corpus":
+        corpus_json = json.loads((out / "corpus.json").read_text(encoding="utf-8"))
+        assert corpus_json["pieces"] == ["bad\\xff", "ok"]
+        assert corpus_json["piece_id_collisions"] == {}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_corpus_skips_a_fifo_and_a_directory_without_opening_them(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    write_melody(corpus_dir / "ok.wav", seed=71)
+    os.mkfifo(corpus_dir / "pipe.wav")  # reading it would wait for a writer forever
+    (corpus_dir / "dir.wav").mkdir()
+    out = tmp_path / "out"
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "soundnet.cli", "corpus", str(corpus_dir), "--out", str(out), *MELODY_FLAGS],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    corpus_json = json.loads((out / "corpus.json").read_text(encoding="utf-8"))
+    assert corpus_json["pieces"] == ["ok"]
+    assert corpus_json["skipped"] == {"dir": "not a regular file", "pipe": "not a regular file"}
 
 
 def test_run_config_defaults_are_the_stage_defaults():

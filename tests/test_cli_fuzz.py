@@ -1,22 +1,24 @@
 """Property test of the whole command line.
 
 Random small WAV files (every supported encoding, mono and stereo, with and
-without edited headers), random valid and invalid flag values, random config
-files and an --out that names an existing file go through `analyze` and
-`corpus`. Every run must end in a documented exit code: 0, 2, 3 or 4
-returned, or argparse's usage exit 2. Any other exception escaping `main` is
-a bug.
+without edited headers) under random ASCII, non-ASCII UTF-8 and non-UTF-8
+file names, random valid and invalid flag values, random config files and an
+--out that names an existing file go through `analyze` and `corpus`. Every
+run must end in a documented exit code: 0, 2, 3 or 4 returned, or argparse's
+usage exit 2, and a run that exits 0 must leave only non-empty UTF-8
+artifacts. Any other exception escaping `main` is a bug.
 """
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import wav_bytes
+from conftest import assert_utf8_artifacts, wav_bytes
 from soundnet.cli import main
 
 # (format code, bits) -> little-endian dtype of one sample; 24-bit is cut from <i4
@@ -57,6 +59,8 @@ _BAD_CONFIG_VALUES = {
     "seed": [0],
 }
 _NOT_AN_OBJECT = ["{", "[]", "5", '"stft"', "null"]
+# file-name stems as bytes: ASCII, non-ASCII UTF-8 and not UTF-8
+_STEMS = [b"p", "é♯".encode(), b"p\xff", b"\xfe\xed"]
 
 
 def _encode(samples, format_code, bits):
@@ -103,6 +107,7 @@ def _run(draw):
     fault = draw(st.sampled_from([None, None, "wav", "flag", "config", "target", "out"]))
     command = draw(st.sampled_from(["analyze", "corpus"]))
     wavs = draw(st.lists(_wav_file(fault == "wav"), min_size=1, max_size=3 if command == "corpus" else 1))
+    names = [os.fsdecode(draw(st.sampled_from(_STEMS)) + b"%d.wav" % i) for i in range(len(wavs))]
     config = dict(draw(st.sampled_from(_CONFIGS)))
     if fault == "config":
         bad = draw(st.sampled_from(["missing", *_NOT_AN_OBJECT, *_BAD_CONFIG_VALUES]))
@@ -123,7 +128,7 @@ def _run(draw):
         flags.append(f"{flag}={draw(st.sampled_from(invalid if key == bad_key else valid))}")
     if isinstance(config, dict):
         config = json.dumps(config) if config or draw(st.booleans()) else None
-    return command, wavs, flags, config, fault
+    return command, dict(zip(names, wavs)), flags, config, fault
 
 
 @settings(max_examples=80, deadline=None)
@@ -134,9 +139,12 @@ def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, run):
         work = Path(work)
         corpus = work / "corpus"
         corpus.mkdir()
-        for i, data in enumerate(wavs):
-            (corpus / f"p{i}.wav").write_bytes(data)
-        target = work / "missing" if fault == "target" else corpus if command == "corpus" else corpus / "p0.wav"
+        for name, data in wavs.items():
+            try:
+                (corpus / name).write_bytes(data)
+            except OSError:  # a filesystem that rejects names that are not UTF-8
+                reject()
+        target = work / "missing" if fault == "target" else corpus if command == "corpus" else corpus / next(iter(wavs))
         if fault == "out":  # --out names an existing file
             (work / "out").write_bytes(b"")
         argv = [command, str(target), f"--out={work / 'out'}", *flags]
@@ -150,3 +158,5 @@ def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, run):
             assert exc.code == 2, argv
         else:
             assert code in (0, 2, 3, 4), argv
+            if code == 0:
+                assert_utf8_artifacts(work / "out")

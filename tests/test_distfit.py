@@ -120,6 +120,36 @@ def test_gibrat_root_search_failure_carries_partial_fit(monkeypatch):
     assert report.best is not DistFamily.GIBRAT
 
 
+# synthetic scores for _root_search: score(v) = (g, dg/dv, state), here with state = v
+
+
+def _score(g, h=0.0, finite=lambda v: True):
+    return lambda v: (g(v), h, v) if finite(v) else (math.nan, math.nan, None)
+
+
+def test_root_search_fails_once_the_outward_step_passes_the_v_cap():
+    # g < 0 everywhere: the steps from 0 reach 1, 3, ..., 511, and 1023 is past the cap
+    assert distfit._root_search(_score(lambda v: -1.0), 0.0) == (511.0, False)
+
+
+def test_root_search_ends_when_the_bracket_collapses_before_newton_converges():
+    # dg/dv = 0 leaves no Newton step, so every step bisects the bracket
+    state, found = distfit._root_search(_score(lambda v: v - 0.3), 0.0)
+    assert found and abs(state - 0.3) <= distfit._ROOT_TOL
+
+
+def test_root_search_fails_on_a_bracket_that_collapses_onto_the_lower_domain_edge():
+    # g > 0 wherever it is finite, and it is not finite from -0.5 down: the root lies
+    # past the edge, so the bracket closes on the edge from above and the search fails
+    state, found = distfit._root_search(_score(lambda v: 1.0, finite=lambda v: v > -0.5), 0.0)
+    assert not found and -0.5 < state <= -0.5 + distfit._ROOT_TOL
+
+
+def test_root_search_fails_on_a_non_finite_point_above():
+    # g < 0 at 0 and not finite from 0.5 up: the first step up fails, keeping the start's state
+    assert distfit._root_search(_score(lambda v: -1.0, h=1.0, finite=lambda v: v < 0.5), 0.0) == (0.0, False)
+
+
 # --- KS test ---------------------------------------------------------------------
 
 def test_ks_single_point():
@@ -166,6 +196,7 @@ def test_ks_p_value_small_lambda_against_scipy():
     # puts 1e5-sample fits at lambda ~ 0.002
     for lam in np.concatenate([np.geomspace(0.001, 0.3, 60), [0.0376, 0.04, 0.0401]]):
         assert abs(distfit._kolmogorov_q(float(lam)) - stats.kstwobign.sf(lam)) < 1e-12
+    assert distfit._kolmogorov_q(0.0) == 1.0
     assert distfit._kolmogorov_q(0.005) == 1.0
     assert distfit._kolmogorov_q(0.01) == 1.0
 

@@ -38,7 +38,7 @@ def reference_frames(audio, params):
     global_max = 0.0
     candidates = []
     for i in range(1 + (x.size - size) // hop):
-        mag = np.abs(spectral.dft(x[i * hop : i * hop + size] * window).bins[: half + 1])
+        mag = np.abs(spectral.dft(x[i * hop : i * hop + size] * window).half)
         frame_max = mag[1:half].max(initial=0.0)
         global_max = max(global_max, frame_max)
         peaks = reference_maxima(mag)
@@ -135,7 +135,7 @@ def test_stft_frame_counts_around_the_chunk_size(n_frames, kind):
 def test_full_matches_reference(kind, n, seed, rel, floor_db):
     spec = spectral.dft(synth(kind, n, seed), RATE)
     params = spectral.PeakParams(rel_threshold=rel, floor_db=floor_db)
-    mag = np.abs(spec.bins[: spec.n_fft // 2 + 1])
+    mag = np.abs(spec.half)
     top = mag[1 : spec.n_fft // 2].max(initial=0.0)
     peaks = reference_maxima(mag)
     want = peaks[mag[peaks] >= max(rel * top, top * 10.0 ** (floor_db / 20.0))] * (RATE / spec.n_fft)

@@ -238,6 +238,10 @@ def test_escaped_piece_ids_parse_back_as_label_text():
     assert labels == list(ESCAPED_IDS)
 
 
+def test_escape_writes_the_four_xml_entities_and_leaves_apostrophes():
+    assert svg_report._esc("i'j & <k> \"l\" &amp;") == "i'j &amp; &lt;k&gt; &quot;l&quot; &amp;amp;"
+
+
 def test_heatmap_of_one_piece_raises():
     with pytest.raises(ValueError, match="no correlation matrix"):
         svg_report.render_heatmap_svg(hand_report(("solo",)))
