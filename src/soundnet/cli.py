@@ -184,12 +184,17 @@ def _analysis_exit(exc, path) -> int:
     return 3  # InsufficientData / EmptyNetwork: nothing usable was extracted
 
 
+# the stem of the corpus's own artifacts, corpus.json and corpus.*; no piece takes it
+CORPUS_STEM = "corpus"
+
+
 def _piece_ids(paths) -> dict:
     """file path -> unique piece id: the stem as _utf8 writes it, or on a
     collision that stem with the least suffix -k (k >= 2) that is neither given
-    yet nor another file's stem."""
+    yet nor another file's stem. CORPUS_STEM counts as given, so a piece
+    named so cannot overwrite the corpus's report."""
     stems = {_utf8(path.stem) for path in paths}
-    given = set()
+    given = {CORPUS_STEM}
     ids = {}
     for path in paths:
         stem = _utf8(path.stem)
@@ -253,14 +258,14 @@ def cmd_corpus(directory: str, config: RunConfig, jobs: int | None = None) -> in
         return 4
 
     report = corpus_mod.corpus_report(analyses, alignment=config.alignment)
-    (out_dir / "corpus.summary.csv").write_text(corpus_mod.summary_csv(report), encoding="utf-8")
+    (out_dir / f"{CORPUS_STEM}.summary.csv").write_text(corpus_mod.summary_csv(report), encoding="utf-8")
     if report.corr_matrix is not None:
-        (out_dir / "corpus.matrix.csv").write_text(corpus_mod.matrix_csv(report), encoding="utf-8")
-        (out_dir / "corpus.heatmap.svg").write_bytes(svg_report.render_heatmap_svg(report))
-    (out_dir / "corpus.cliques.svg").write_bytes(svg_report.render_clique_bars_svg(report))
+        (out_dir / f"{CORPUS_STEM}.matrix.csv").write_text(corpus_mod.matrix_csv(report), encoding="utf-8")
+        (out_dir / f"{CORPUS_STEM}.heatmap.svg").write_bytes(svg_report.render_heatmap_svg(report))
+    (out_dir / f"{CORPUS_STEM}.cliques.svg").write_bytes(svg_report.render_clique_bars_svg(report))
     collisions = {_utf8(str(path)): piece for path, piece in ids.items() if piece != _utf8(path.stem)}
     _dump_json(
-        out_dir / "corpus.json",
+        out_dir / f"{CORPUS_STEM}.json",
         {
             "config": _echo(config),
             "pieces": sorted(analyses),

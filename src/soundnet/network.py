@@ -82,17 +82,35 @@ def grid_bin(midi: int, grid: PitchGrid | None = None) -> PitchBin:
 def _midi_of(freqs: np.ndarray, grid: PitchGrid) -> np.ndarray:
     """Lower-note MIDI number of the bin containing each frequency.
 
-    The floor of the log-ratio is nudged so the decision is anchored on the
-    note frequencies themselves, keeping lower-inclusive bounds exact. It is
-    first clipped to [MIDI_LOW - 1, MIDI_HIGH], which changes no in-grid
-    result: a frequency too low for a finite log-ratio (a subnormal) or far
-    outside the grid then lands just outside it, with no int64 wraparound.
-    The nudge reads one note_freq table over MIDI_LOW - 1 ... MIDI_HIGH + 1.
+    Every decision is anchored on the note frequencies themselves, keeping
+    lower-inclusive bounds exact. The numbers run from MIDI_LOW - 2 (below
+    the note table) to MIDI_HIGH + 1, so a frequency outside the grid lands
+    outside it, with no int64 wraparound. They are read from one note_freq
+    table over MIDI_LOW - 1 ... MIDI_HIGH + 1: by binary search of the table
+    into a strictly increasing sequence (_midi_of_ascending), such as the
+    full mode's, and otherwise by the log-ratio (_midi_of_log). Both give the
+    same numbers.
     """
-    with np.errstate(divide="ignore"):  # log2(0) = -inf where freqs / a4 underflows
-        m = np.floor(69.0 + 12.0 * np.log2(freqs / grid.a4_hz))
-    m = np.clip(m, MIDI_LOW - 1, MIDI_HIGH).astype(np.int64)
     notes = grid.note_freq(np.arange(MIDI_LOW - 1, MIDI_HIGH + 2))
+    if (freqs[1:] > freqs[:-1]).all():
+        return _midi_of_ascending(freqs, notes)
+    return _midi_of_log(freqs, notes, grid.a4_hz)
+
+
+def _midi_of_ascending(freqs: np.ndarray, notes: np.ndarray) -> np.ndarray:
+    """_midi_of for ascending freqs: each note's count of lower frequencies
+    splits the sequence into runs of one bin each."""
+    runs = np.diff(np.searchsorted(freqs, notes), prepend=0, append=freqs.size)
+    return np.repeat(np.arange(MIDI_LOW - 2, MIDI_HIGH + 2), runs)
+
+
+def _midi_of_log(freqs: np.ndarray, notes: np.ndarray, a4_hz: float) -> np.ndarray:
+    """_midi_of for any freqs: the floor of the log-ratio, first clipped to
+    [MIDI_LOW - 1, MIDI_HIGH] (a subnormal has no finite log-ratio), then
+    nudged by one note either way against the table."""
+    with np.errstate(divide="ignore"):  # log2(0) = -inf where freqs / a4 underflows
+        m = np.floor(69.0 + 12.0 * np.log2(freqs / a4_hz))
+    m = np.clip(m, MIDI_LOW - 1, MIDI_HIGH).astype(np.int64)
     m += freqs >= notes[m - (MIDI_LOW - 2)]
     m -= freqs < notes[m - (MIDI_LOW - 1)]
     return m

@@ -12,7 +12,9 @@ turned into magnitudes, and the peaks of the chunk are picked
 candidate-first: only the bins at or above their frame's relative threshold
 are tested, for a strict rise and then a strict fall or, where a plateau
 starts, a fall at its next change within the frame. The whole-signal
-spectrum of the full mode uses the same picker, and both modes apply the dB
+spectrum of the full mode uses the same picker, which tests every column with
+whole-row slices instead once more than 1/8 of them are candidates (86-90 % on
+broadband noise, 0.2-0.3 % in a melody's STFT chunks); both modes apply the dB
 floor and report bin k as k * (fs / N) Hz in one helper.
 
 The full mode keeps only the non-negative-frequency half of its transform
@@ -123,14 +125,26 @@ def _pick_peaks(mag: np.ndarray, rel_threshold: float):
     A peak is a column strictly above its left neighbour whose next change
     to the right, within its row, is a descent: a plateau counts once, at its
     lowest column, and the first and last columns are never peaks. Only the
-    candidates, the columns at or above rel_threshold * row_max, are tested.
+    candidates, the columns at or above rel_threshold * row_max, can be peaks.
+    Where more than _ROWS_SHARE of the columns are candidates (broadband
+    noise) every column is tested with whole-row slices, and otherwise (a
+    melody's STFT) only the candidates are; both give the same peaks.
     Returns (flat, row_max): flat indexes mag.ravel() in ascending order;
     row_max is the maximum over columns [1, N/2), where peaks lie.
     """
-    n = mag.shape[1]
     row_max = mag[:, 1:-1].max(axis=1, initial=0.0)
     above = mag >= rel_threshold * row_max[:, None]
     above[:, 0] = above[:, -1] = False
+    test = _test_rows if np.count_nonzero(above) > _ROWS_SHARE * above.size else _test_candidates
+    return test(mag, above), row_max
+
+
+# _pick_peaks tests every column with row slices once more than this share of them are candidates
+_ROWS_SHARE = 1 / 8
+
+
+def _test_candidates(mag: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """_pick_peaks's peaks, from the candidates `above` alone."""
     # each candidate's left neighbour, itself and its right neighbour are
     # flat[c], flat[1:][c] and flat[2:][c] for c = its index - 1: three gathers
     # with no index temporaries
@@ -144,15 +158,38 @@ def _pick_peaks(mag: np.ndarray, rel_threshold: float):
     plateau = rise & (right == value)
     c += 1
     if plateau.any():
-        # a plateau starting at p ends before the first k >= p + 2 whose
-        # magnitude differs from the one before it (flat.size if none): p is a
-        # peak iff that k is still in p's row and is lower
-        p = c[plateau]
-        changes = np.append(np.flatnonzero(flat[1:] != flat[:-1]) + 1, flat.size)
-        k = changes[np.searchsorted(changes, p + 2)]
-        in_row = k < (p // n + 1) * n
-        peak[plateau] = in_row & (flat[np.where(in_row, k, p)] < flat[p])
-    return c[peak], row_max
+        peak[plateau] = _plateau_peaks(flat, c[plateau], mag.shape[1])
+    return c[peak]
+
+
+def _test_rows(mag: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """_pick_peaks's peaks, with every column tested against its neighbours by row slices."""
+    value = mag[:, 1:-1]
+    rise = value > mag[:, :-2]
+    rise &= above[:, 1:-1]
+    right = mag[:, 2:]
+    peak = np.zeros_like(above)
+    peak[:, 1:-1] = rise & (right < value)
+    plateau = np.zeros_like(above)
+    plateau[:, 1:-1] = rise & (right == value)
+    p = np.flatnonzero(plateau)
+    if p.size:
+        peak.ravel()[p] = _plateau_peaks(mag.ravel(), p, mag.shape[1])
+    return np.flatnonzero(peak)
+
+
+def _plateau_peaks(flat: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+    """Whether each plateau start p, a column above its left neighbour and equal
+    to its right one in rows of n columns, is a peak.
+
+    A plateau starting at p ends before the first k >= p + 2 whose magnitude
+    differs from the one before it (flat.size if none): p is a peak iff that k
+    is still in p's row and is lower.
+    """
+    changes = np.append(np.flatnonzero(flat[1:] != flat[:-1]) + 1, flat.size)
+    k = changes[np.searchsorted(changes, p + 2)]
+    in_row = k < (p // n + 1) * n
+    return in_row & (flat[np.where(in_row, k, p)] < flat[p])
 
 
 def _floored_sequence(k, m, top, params, sample_rate_hz, n_fft) -> FrequencySequence:

@@ -2,7 +2,8 @@
 
 Emitted documents are plain SVG 1.1 text with a declared viewBox, built with
 fixed-precision number formatting so identical inputs give identical bytes.
-No plotting library is involved. Every number is written by _f, and every
+No plotting library is involved. Every number is written by _f, or for the
+fit figure's point lists by one '%.2f' format of them all, and every
 label is escaped by the standard library's html.escape, with '"' also written
 as &quot; so that a label can sit in an attribute.
 
@@ -102,7 +103,9 @@ def _document(width, height, body: list) -> bytes:
 def render_fit_svg(samples, fit_report: FitReport) -> bytes:
     """Two panels: density histogram with the winning family's PDF, and the
     ECDF with the fitted CDF. Exactly two <path> elements (the two curves)."""
-    x = np.sort(np.asarray(samples, dtype=np.float64))
+    x = np.asarray(samples, dtype=np.float64)
+    if not (x[1:] > x[:-1]).all():  # a strictly increasing sample is its own sort
+        x = np.sort(x)
     best = fit_report.per_family[fit_report.best]
     dist = best.dist
 
@@ -118,7 +121,7 @@ def render_fit_svg(samples, fit_report: FitReport) -> bytes:
 
     lo, hi = float(x[0]), float(x[-1])
     span = hi - lo or 1.0
-    counts, edges = np.histogram(x, bins=_FIT_BINS, range=(lo, lo + span))
+    counts, edges = _histogram(x, lo, span)
     density = counts / (x.size * (span / _FIT_BINS))
     grid = np.linspace(lo, lo + span, 256)
     pdf = dist.pdf(grid)
@@ -155,8 +158,8 @@ def render_fit_svg(samples, fit_report: FitReport) -> bytes:
     idx = np.arange(x.size)
     if x.size > 1200:
         idx = np.unique(np.linspace(0, x.size - 1, 1200).astype(int))
-    steps = zip(cx(x[idx]).tolist(), cy(idx / x.size).tolist(), cy((idx + 1) / x.size).tolist())
-    pts = " ".join(f"{_f(px)},{_f(y0)} {_f(px)},{_f(y1)}" for px, y0, y1 in steps)
+    px = cx(x[idx])
+    pts = " ".join(["%.2f,%.2f %.2f,%.2f"] * idx.size) % _interleave(px, cy(idx / x.size), px, cy((idx + 1) / x.size))
     body.append(f'<polyline points="{pts}" fill="none" stroke="#2c7fb8" stroke-width="1.5"/>')
     body.append(_path(cx(grid), cy(np.clip(dist.cdf(grid), 0.0, 1.0)), "#d62728"))
     body.extend(_panel_frame(left2, top, panel_w, panel_h, "frequency component (Hz)", "CDF"))
@@ -164,9 +167,27 @@ def render_fit_svg(samples, fit_report: FitReport) -> bytes:
     return _document(width, height, body)
 
 
+def _histogram(x, lo, span) -> tuple:
+    """np.histogram(x, _FIT_BINS, range=(lo, lo + span)) of the sorted sample x,
+    whose first value is lo: the same edges, and counts from one binary search
+    of the edges into x. A bin holds [edge, next edge), the last one also its
+    upper edge; a value above that edge, where lo + span rounds below x[-1], is
+    in no bin."""
+    edges = np.histogram_bin_edges(x, _FIT_BINS, range=(lo, lo + span))
+    below = np.searchsorted(x, edges)
+    below[-1] = np.searchsorted(x, edges[-1], side="right")
+    return np.diff(below), edges
+
+
+def _interleave(*columns) -> tuple:
+    """The values of equal-length arrays, row by row, as one tuple of Python
+    floats for %-formatting, which writes each as _f does."""
+    return tuple(np.column_stack(columns).ravel().tolist())
+
+
 def _path(px, py, color) -> str:
     """A polyline path through the points (px[i], py[i]), given as arrays."""
-    d = " L ".join(f"{_f(x)} {_f(y)}" for x, y in zip(px.tolist(), py.tolist()))
+    d = " L ".join(["%.2f %.2f"] * px.size) % _interleave(px, py)
     return f'<path d="M {d}" fill="none" stroke="{color}" stroke-width="2"/>'
 
 

@@ -305,6 +305,22 @@ def test_corpus_jobs_below_one_exit_2(tmp_path, capsys, jobs):
     assert "argument --jobs: must be >= 1" in capsys.readouterr().err
 
 
+def test_corpus_piece_named_corpus_keeps_its_report(tmp_path):
+    # corpus.json is the corpus's summary, so the piece corpus.wav takes the id corpus-2
+    corpus_dir = tmp_path / "in"
+    corpus_dir.mkdir()
+    write_melody(corpus_dir / "corpus.wav", seed=70)
+    write_melody(corpus_dir / "other.wav", seed=71)
+    out = tmp_path / "out"
+    assert main(["corpus", str(corpus_dir), "--out", str(out), "--jobs", "2", *MELODY_FLAGS]) == 0
+    summary = json.loads((out / "corpus.json").read_text(encoding="utf-8"))
+    assert summary["pieces"] == ["corpus-2", "other"]
+    assert summary["piece_id_collisions"] == {str(corpus_dir / "corpus.wav"): "corpus-2"}
+    piece = json.loads((out / "corpus-2.json").read_text(encoding="utf-8"))
+    assert piece["piece_id"] == "corpus-2" and piece["source_path"] == str(corpus_dir / "corpus.wav")
+    assert (out / "corpus-2.fit.svg").exists() and (out / "corpus-2.network.svg").exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "corpus"])
 def test_seed_is_not_a_config_key_or_flag(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"

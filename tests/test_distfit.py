@@ -3,6 +3,7 @@ import math
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -434,6 +435,55 @@ def test_blocked_ks_is_not_finite_where_the_cdf_is_nan_at_a_block_end():
 
     stub, x = _stub_ks_case(hole)
     assert not math.isfinite(distfit._ks_sorted(stub, x).statistic_d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ks_cases())
+def test_refined_ks_equals_the_dense_formula(case):
+    # _KS_REFINE_MIN = 1 takes the _KS_STEP pass wherever a block reaches the maximum
+    fit, x_sorted = case
+    with mock.patch.object(distfit, "_KS_REFINE_MIN", 1), np.errstate(all="ignore"):
+        got, want = distfit._ks_sorted(fit, x_sorted), dense_ks(fit, x_sorted)
+    assert got == want or (math.isnan(got.statistic_d) and math.isnan(want.statistic_d))
+
+
+def test_refined_ks_evaluates_every_step_where_the_cdf_falls_at_a_step_end():
+    def dip(f, v, x):  # falls at the step end x[136], not at a block end; the deepest deviation lies inside [128, 136]
+        f[(v > x[128]) & (v < x[136])] -= 0.3
+        f[v == x[136]] -= 0.2
+
+    stub, x = _stub_ks_case(dip)
+    assert (np.diff(stub.cdf(x[::64])) >= 0.0).all() and (np.diff(stub.cdf(x[[128, 136]])) < 0.0).all()
+    with mock.patch.object(distfit, "_KS_REFINE_MIN", 1):
+        got = distfit._ks_sorted(stub, x)
+    assert got == dense_ks(stub, x)
+    ends = np.union1d(np.arange(0, 1000, 8), [999])
+    assert got.statistic_d > distfit._ks_d(stub.cdf(x[ends]), ends, 1000)
+
+
+@pytest.mark.parametrize("refine_min", [1, distfit._KS_REFINE_MIN])
+@pytest.mark.parametrize("rank", [1, 3007, 3009, 3015, 3017, 9215, 9217, 12_798])
+def test_ks_finds_a_maximum_one_rank_inside_a_stretch_end(rank, refine_min):
+    # a CDF that jumps by 0.3 between x[rank - 1] and x[rank]: the largest
+    # deviation is F - j/n at `rank` when it lies in the first half, and
+    # (j + 1)/n - F at rank - 1 in the second; either is one rank inside the
+    # end of a block (64) or of a step (8)
+    n = 200 * distfit._KS_BLOCK
+    x = np.arange(n) + 0.5
+    sizes = []
+
+    def cdf(v):
+        sizes.append(v.size)
+        return 0.7 * v / n + 0.3 * (v >= rank)
+
+    f = cdf(x)
+    at = int(np.argmax(np.maximum((np.arange(n) + 1.0) / n - f, f - np.arange(n) / n)))
+    assert at == (rank if rank < n // 2 else rank - 1)
+    want = dense_ks(SimpleNamespace(cdf=cdf), x).statistic_d
+    sizes.clear()
+    with mock.patch.object(distfit, "_KS_REFINE_MIN", refine_min):
+        assert distfit._ks_d_blocked(cdf, x) == want
+    assert sum(sizes) < n // 8  # the bound skips most of the sample
 
 
 # --- best_fit -------------------------------------------------------------------

@@ -194,6 +194,33 @@ def test_midi_of_note_table_matches_note_freq_per_component(a4_hz, rng):
     assert np.array_equal(network._midi_of(freqs, grid), _midi_of_per_component(freqs, grid))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(network.A4_MIN_HZ, network.A4_MAX_HZ), st.integers(0, 2**32 - 1))
+def test_midi_of_ascending_matches_the_log_ratio(a4_hz, seed):
+    # every note frequency and its float neighbours, log-uniform frequencies in
+    # and around the grid, and frequencies far below it (subnormal) and above it
+    grid = PitchGrid(a4_hz)
+    notes = grid.note_freq(np.arange(network.MIDI_LOW - 1, network.MIDI_HIGH + 2))
+    rng = np.random.default_rng(seed)
+    freqs = np.unique(
+        np.concatenate(
+            [
+                notes,
+                np.nextafter(notes, 0.0),
+                np.nextafter(notes, np.inf),
+                np.exp(rng.uniform(-2.0, 11.0, 2_000)),
+                [5e-324, 1e-300, 1e300],
+            ]
+        )
+    )
+    want = network._midi_of_log(freqs, notes, a4_hz)
+    assert want.min() == network.MIDI_LOW - 2 and want.max() == network.MIDI_HIGH + 1
+    assert np.array_equal(network._midi_of_ascending(freqs, notes), want)
+    # the dispatch: the ascending order takes the binary search, its reverse the log-ratio
+    assert np.array_equal(network._midi_of(freqs, grid), want)
+    assert np.array_equal(network._midi_of(freqs[::-1], grid), want[::-1])
+
+
 def test_bin_partition_covers_grid(rng):
     low, high = float(GRID.note_freq(network.MIDI_LOW)), float(GRID.note_freq(network.MIDI_HIGH))
     freqs = np.exp(rng.uniform(np.log(low), np.log(high * 0.999), size=2_000))

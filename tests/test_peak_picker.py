@@ -92,6 +92,40 @@ def test_peak_mask_matches_1d_picker_row_by_row(mag):
         assert np.array_equal(col[row == r], reference_maxima(values))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40), elements=st.integers(0, 3)),
+    st.sampled_from([1e-300, 0.3, 0.6, 1.0]),
+)
+def test_row_slices_and_candidates_pick_the_same_peaks(mag, rel):
+    # magnitudes 0-3 make plateaus, some of them running to a row's end
+    with mock.patch.object(spectral, "_ROWS_SHARE", 1.0):
+        by_candidates, row_max = spectral._pick_peaks(mag, rel)
+    with mock.patch.object(spectral, "_ROWS_SHARE", 0.0):
+        by_rows, rows_max = spectral._pick_peaks(mag, rel)
+    assert np.array_equal(by_rows, by_candidates) and np.array_equal(rows_max, row_max)
+    row, col = np.divmod(by_rows, mag.shape[1])
+    for r, values in enumerate(mag):
+        maxima = reference_maxima(values)
+        assert np.array_equal(col[row == r], maxima[values[maxima] >= rel * row_max[r]])
+
+
+@pytest.mark.parametrize("share", [1.0, 0.0], ids=["candidates", "rows"])  # _ROWS_SHARE 1 forces candidates, 0 rows
+def test_plateau_peaks_in_either_form(share):
+    mag = np.array(
+        [
+            [0.0, 1.0, 5.0, 5.0, 5.0, 2.0, 0.0],  # a plateau that falls: a peak at its lowest column
+            [0.0, 2.0, 2.0, 3.0, 1.0, 1.0, 0.0],  # a rising plateau: no peak there, the next one is
+            [0.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0],  # a plateau to the row's end
+            [0.0, 5.0, 1.0, 0.0, 3.0, 3.0, 3.0],  # one peak, then a plateau to the end
+        ]
+    )
+    with mock.patch.object(spectral, "_ROWS_SHARE", share):
+        peaks, _ = spectral._pick_peaks(mag, 1e-300)
+    assert np.divmod(peaks, mag.shape[1])[1].tolist() == [2, 3, 1]
+    assert np.divmod(peaks, mag.shape[1])[0].tolist() == [0, 1, 3]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     peak_params,

@@ -58,8 +58,12 @@ def test_conjugate_symmetry_and_parseval(rng):
         x = rng.standard_normal(n)
         spec = spectral.dft(x)
         y = full_bins(spec)
-        sym_err = np.abs(y[1:] - np.conj(y[1:][::-1]))
-        assert np.max(sym_err) / np.max(np.abs(y)) < 1e-9
+        # the bins above N/2 are the conjugate mirror of the rfft half; the
+        # direct summation of the same zero-padded signal computes them itself
+        upper = slice(spec.n_fft // 2 + 1, None)
+        want = naive_dft(np.concatenate([x, np.zeros(spec.n_fft - n)]))
+        sym_err = np.abs(y[upper] - want[upper])
+        assert np.max(sym_err) / np.max(np.abs(want)) < 1e-9
         energy_time = np.sum(x * x)
         energy_freq = np.sum(np.abs(y) ** 2) / spec.n_fft
         assert abs(energy_time - energy_freq) / energy_time < 1e-6

@@ -3,6 +3,9 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from soundnet import distfit, svg_report
 from soundnet.corpus import CorpusReport, corpus_report
@@ -58,6 +61,60 @@ def test_fit_svg_title_carries_family_and_ks(exp_fit_figure):
 def test_fit_svg_deterministic(exp_fit_figure):
     draws, report, data = exp_fit_figure
     assert svg_report.render_fit_svg(draws, report) == data
+
+
+def test_fit_svg_of_the_ascending_sample_equals_any_order(exp_fit_figure):
+    # an ascending sample is drawn without a sort
+    draws, report, data = exp_fit_figure
+    assert svg_report.render_fit_svg(np.sort(draws), report) == data
+    assert svg_report.render_fit_svg(np.random.default_rng(9).permutation(draws), report) == data
+
+
+# lo + (hi - lo) rounds below hi, so the histogram's upper edge lies below the largest value
+ROUNDS_BELOW = (-1.8151915633927285, 1.3489335688193516)
+
+
+def _numpy_histogram(x):
+    lo = float(x[0])
+    span = float(x[-1]) - lo or 1.0
+    return svg_report._histogram(x, lo, span), np.histogram(x, svg_report._FIT_BINS, range=(lo, lo + span))
+
+
+@st.composite
+def fit_samples(draw):
+    """Sorted samples, some ending on ROUNDS_BELOW and some holding the
+    histogram's own edges and their float neighbours."""
+    x = draw(hnp.arrays(np.float64, st.integers(1, 200), elements=st.floats(-1e6, 1e6)))
+    if draw(st.booleans()):
+        x = np.concatenate([x / 1e6, ROUNDS_BELOW])  # inside (-1.82, 1.35)
+    x = np.sort(x)
+    if draw(st.booleans()):
+        lo, hi = float(x[0]), float(x[-1])
+        edges = np.histogram_bin_edges(x, svg_report._FIT_BINS, range=(lo, lo + (hi - lo or 1.0)))
+        on = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        picked = draw(st.lists(st.sampled_from(on.tolist()), max_size=40))
+        x = np.sort(np.concatenate([x, [v for v in picked if lo <= v <= hi]]))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_samples())
+def test_fit_histogram_equals_numpy(x):
+    (counts, edges), (want_counts, want_edges) = _numpy_histogram(x)
+    assert np.array_equal(edges, want_edges)
+    assert np.array_equal(counts, want_counts) and counts.dtype == want_counts.dtype
+
+
+def test_fit_histogram_leaves_out_a_value_above_its_upper_edge():
+    x = np.array([ROUNDS_BELOW[0], 0.0, ROUNDS_BELOW[1]])
+    (counts, edges), (want_counts, _) = _numpy_histogram(x)
+    assert edges[-1] < x[-1]
+    assert counts.sum() == 2 and np.array_equal(counts, want_counts)
+
+
+@given(st.floats())
+def test_percent_format_writes_numbers_as_f_does(v):
+    assert "%.2f" % v == svg_report._f(v)
 
 
 def test_network_svg_k3():
