@@ -268,7 +268,7 @@ def cmd_corpus(directory: str, config: RunConfig, jobs: int | None = None) -> in
         out_dir / f"{CORPUS_STEM}.json",
         {
             "config": _echo(config),
-            "pieces": sorted(analyses),
+            "pieces": list(report.piece_ids),
             "skipped": skipped,
             "piece_id_collisions": collisions,
             "comparison": corpus_mod.comparison_to_dict(report),

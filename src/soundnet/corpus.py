@@ -1,6 +1,11 @@
 """Cross-piece analysis: Spearman degree-centrality correlations and
 clique-composition summaries, held together in one CorpusReport.
 
+A CorpusReport holds one summary row per piece, the correlation matrix and
+the alignment; the piece ids are read from the rows. corpus.json's clique
+histograms, clique sizes and family shares are views of the rows, so no
+per-piece value is stored twice.
+
 Centrality vectors of different pieces are aligned over the union of their
 node sets by default (absent nodes contribute 0.0); pairwise intersection
 alignment is available for sensitivity analysis. Degenerate cells (a constant
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +44,13 @@ SUMMARY_COLUMNS = (
 
 @dataclass(frozen=True)
 class CorpusReport:
-    piece_ids: tuple
-    corr_matrix: list | None   # rows of float-or-None; None when < 2 pieces
-    clique_histograms: dict    # piece -> {octave bucket: count}
-    clique_sizes: dict         # piece -> int
-    summary_rows: list         # one dict per piece, fixed column order
-    family_share: dict         # best-fit family -> {"count": int, "share": float}
+    corr_matrix: list | None   # rows of float-or-None, in summary_rows order; None when < 2 pieces
+    summary_rows: list         # one dict per piece, keys SUMMARY_COLUMNS in order
     alignment: str = ALIGN_UNION
+
+    @property
+    def piece_ids(self) -> tuple:
+        return tuple(row["id"] for row in self.summary_rows)
 
 
 def average_ranks(values) -> np.ndarray:
@@ -121,44 +127,25 @@ def degree_correlation_matrix(networks: dict, alignment: str = ALIGN_UNION) -> l
 def corpus_report(analyses: dict, alignment: str = ALIGN_UNION) -> CorpusReport:
     """Corpus summary over piece -> (FitReport, SoundNetwork) analyses.
 
-    Holds each piece's largest-clique size and octave histogram, one summary
-    row per piece (best family, its (loc, scale), KS (d, p), graph and clique
-    sizes, octave histogram), the share of pieces per winning family, and the
+    Holds one summary row per piece (best family, its (loc, scale), KS (d, p),
+    graph and largest-clique sizes, the clique's octave histogram) and the
     correlation matrix when two or more pieces are present (None otherwise).
     """
     if not analyses:
         raise ValueError("corpus_report needs at least one piece")
-    pieces = tuple(analyses)
-    networks = {p: analyses[p][1] for p in pieces}
-    histograms = {p: net.clique_octaves for p, net in networks.items()}
-    sizes = {p: len(net.largest_clique) for p, net in networks.items()}
-    matrix = degree_correlation_matrix(networks, alignment=alignment) if len(pieces) >= 2 else None
+    networks = {p: net for p, (_, net) in analyses.items()}
+    matrix = degree_correlation_matrix(networks, alignment=alignment) if len(networks) >= 2 else None
 
     rows = []
-    counts: dict = {}
-    for piece in pieces:
-        fit_report, net = analyses[piece]
+    for piece, (fit_report, net) in analyses.items():
         best = fit_report.per_family[fit_report.best]
-        counts[fit_report.best.value] = counts.get(fit_report.best.value, 0) + 1
         values = (
             piece, fit_report.best.value, best.dist.loc, best.dist.scale, best.ks.statistic_d, best.ks.p_value,
-            len(net.nodes), int(np.count_nonzero(net.adjacency)) // 2, sizes[piece], *histograms[piece].values(),
+            len(net.nodes), int(np.count_nonzero(net.adjacency)) // 2, len(net.largest_clique),
+            *net.clique_octaves.values(),
         )
         rows.append(dict(zip(SUMMARY_COLUMNS, values, strict=True)))
-
-    share = {
-        family: {"count": count, "share": count / len(pieces)}
-        for family, count in sorted(counts.items())
-    }
-    return CorpusReport(
-        piece_ids=pieces,
-        corr_matrix=matrix,
-        clique_histograms=histograms,
-        clique_sizes=sizes,
-        summary_rows=rows,
-        family_share=share,
-        alignment=alignment,
-    )
+    return CorpusReport(corr_matrix=matrix, summary_rows=rows, alignment=alignment)
 
 
 def summary_csv(report: CorpusReport) -> str:
@@ -188,13 +175,18 @@ def _csv_value(v):
 
 
 def comparison_to_dict(report: CorpusReport) -> dict:
-    """The "comparison" section of corpus.json."""
+    """The "comparison" section of corpus.json; its clique histograms, clique
+    sizes and family shares (pieces per best family) are read from the rows."""
+    rows = report.summary_rows
+    families = Counter(row["best_family"] for row in rows)
     return {
         "alignment": report.alignment,
         "piece_ids": list(report.piece_ids),
         "corr_matrix": report.corr_matrix,
-        "clique_histograms": report.clique_histograms,
-        "clique_sizes": report.clique_sizes,
-        "summary": report.summary_rows,
-        "family_share": report.family_share,
+        "clique_histograms": {row["id"]: {bucket: row[bucket] for bucket in OCTAVE_BUCKETS} for row in rows},
+        "clique_sizes": {row["id"]: row["clique_size"] for row in rows},
+        "summary": rows,
+        "family_share": {
+            family: {"count": count, "share": count / len(rows)} for family, count in sorted(families.items())
+        },
     }

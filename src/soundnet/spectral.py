@@ -145,18 +145,13 @@ _ROWS_SHARE = 1 / 8
 
 def _test_candidates(mag: np.ndarray, above: np.ndarray) -> np.ndarray:
     """_pick_peaks's peaks, from the candidates `above` alone."""
-    # each candidate's left neighbour, itself and its right neighbour are
-    # flat[c], flat[1:][c] and flat[2:][c] for c = its index - 1: three gathers
-    # with no index temporaries
     c = np.flatnonzero(above)
-    c -= 1
     flat = mag.ravel()
-    value = flat[1:][c]
-    rise = value > flat[c]
-    right = flat[2:][c]
+    value = flat[c]
+    rise = value > flat[c - 1]
+    right = flat[c + 1]
     peak = rise & (right < value)
     plateau = rise & (right == value)
-    c += 1
     if plateau.any():
         peak[plateau] = _plateau_peaks(flat, c[plateau], mag.shape[1])
     return c[peak]

@@ -21,7 +21,7 @@ import itertools
 import numpy as np
 
 from .corpus import CorpusReport
-from .distfit import FitReport
+from .distfit import FitReport, _sorted_samples
 from .network import OCTAVE_BUCKETS, PITCH_CLASS_NAMES, SoundNetwork
 
 # Node fill per pitch class of the bin's lower note, C anchored at red.
@@ -102,10 +102,11 @@ def _document(width, height, body: list) -> bytes:
 
 def render_fit_svg(samples, fit_report: FitReport) -> bytes:
     """Two panels: density histogram with the winning family's PDF, and the
-    ECDF with the fitted CDF. Exactly two <path> elements (the two curves)."""
-    x = np.asarray(samples, dtype=np.float64)
-    if not (x[1:] > x[:-1]).all():  # a strictly increasing sample is its own sort
-        x = np.sort(x)
+    ECDF with the fitted CDF. Exactly two <path> elements (the two curves).
+    The sample is checked and sorted as best_fit does; where it is too narrow
+    for numpy's _FIT_BINS bins at its magnitude, the histogram spans
+    4 * _FIT_BINS float spacings from its minimum."""
+    x = _sorted_samples(samples)
     best = fit_report.per_family[fit_report.best]
     dist = best.dist
 
@@ -120,8 +121,12 @@ def render_fit_svg(samples, fit_report: FitReport) -> bytes:
     body = [_text(width / 2, "32", title, 18, anchor="middle")]
 
     lo, hi = float(x[0]), float(x[-1])
-    span = hi - lo or 1.0
-    counts, edges = _histogram(x, lo, span)
+    span = hi - lo
+    try:
+        counts, edges = _histogram(x, lo, span)
+    except ValueError:  # too narrow for _FIT_BINS distinct edges at this magnitude
+        span = 4 * _FIT_BINS * float(np.spacing(max(abs(lo), abs(hi))))
+        counts, edges = _histogram(x, lo, span)
     density = counts / (x.size * (span / _FIT_BINS))
     grid = np.linspace(lo, lo + span, 256)
     pdf = dist.pdf(grid)
@@ -307,30 +312,27 @@ _BUCKET_COLORS = (
 def render_clique_bars_svg(report: CorpusReport) -> bytes:
     """Grouped bars of largest-clique composition per octave range; bars with
     zero count are not drawn."""
-    ids = report.piece_ids
+    rows = report.summary_rows
     buckets = OCTAVE_BUCKETS
     bar_w = 9.0
     group_w = bar_w * len(buckets) + 18.0
     plot_h = 260.0
     left, top = 70.0, 50.0
-    width = left + group_w * len(ids) + 200.0
+    width = left + group_w * len(rows) + 200.0
     height = top + plot_h + 140.0
 
-    max_count = max(
-        (report.clique_histograms[p][bucket] for p in ids for bucket in buckets),
-        default=0,
-    )
+    max_count = max((row[bucket] for row in rows for bucket in buckets), default=0)
     unit = plot_h / max(max_count, 1)
 
     body = [_text(width / 2, "26", "largest-clique composition by octave range", 16, anchor="middle")]
     base = top + plot_h
-    body.append(f'<line x1="{_f(left)}" y1="{_f(base)}" x2="{_f(left + group_w * len(ids))}" y2="{_f(base)}" stroke="#000000"/>')
+    body.append(f'<line x1="{_f(left)}" y1="{_f(base)}" x2="{_f(left + group_w * len(rows))}" y2="{_f(base)}" stroke="#000000"/>')
 
-    for gi, piece in enumerate(ids):
+    for gi, row in enumerate(rows):
+        piece = row["id"]
         gx = left + gi * group_w
-        hist = report.clique_histograms[piece]
         for bi, bucket in enumerate(buckets):
-            count = hist[bucket]
+            count = row[bucket]
             if count <= 0:
                 continue
             h = count * unit
@@ -341,6 +343,6 @@ def render_clique_bars_svg(report: CorpusReport) -> bytes:
             )
         body.append(_text(gx + (group_w - 18.0) / 2, base + 14, piece, 11, anchor="end", rotate=-45))
 
-    legend_x = left + group_w * len(ids) + 30.0
+    legend_x = left + group_w * len(rows) + 30.0
     body.extend(_legend(legend_x, top, top + 20.0, "octave range", zip(_BUCKET_COLORS, buckets), cls="bucket-label"))
     return _document(width, height, body)

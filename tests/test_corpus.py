@@ -1,5 +1,6 @@
 import csv
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from soundnet import corpus, distfit, network
 from soundnet.corpus import (
     CorpusReport,
     average_ranks,
+    comparison_to_dict,
     corpus_report,
     degree_correlation_matrix,
     matrix_csv,
@@ -232,16 +234,14 @@ def test_matrix_and_report_reject_bad_alignment_and_too_few_pieces():
 
 
 def test_summary_csv_of_no_rows_is_the_header_alone():
-    report = CorpusReport(
-        piece_ids=(), corr_matrix=None, clique_histograms={}, clique_sizes={}, summary_rows=[], family_share={}
-    )
+    report = CorpusReport(corr_matrix=None, summary_rows=[])
     assert summary_csv(report) == ",".join(corpus.SUMMARY_COLUMNS) + "\r\n"
 
 
 def test_corpus_exponential_pieces_family_share():
     analyses = {f"p{i:02d}": analysis_for(100 + i) for i in range(14)}
     report = corpus_report(analyses)
-    assert sum(entry["count"] for entry in report.family_share.values()) == 14
+    assert sum(entry["count"] for entry in comparison_to_dict(report)["family_share"].values()) == 14
     for piece in analyses:
         fit = analyses[piece][0]
         d = {fam: ff.ks.statistic_d for fam, ff in fit.per_family.items()}
@@ -263,11 +263,35 @@ def test_corpus_gibrat_outlier_detected():
     d = {fam: ff.ks.statistic_d for fam, ff in fit.per_family.items()}
     assert d[distfit.DistFamily.GIBRAT] < d[distfit.DistFamily.EXPONENTIAL]
     assert fit.best is not distfit.DistFamily.EXPONENTIAL
-    shares = report.family_share
+    shares = comparison_to_dict(report)["family_share"]
     assert sum(e["count"] for e in shares.values()) == 14
     assert shares.get("exponential", {"count": 0})["count"] + shares.get(
         "exponentiated_weibull", {"count": 0}
     )["count"] == 13
+
+
+@pytest.mark.parametrize("alignment", ["union", "intersection"])
+def test_corpus_views_agree_with_their_sources(alignment):
+    # pieces out of name order, and two best families: the lognormal piece is no exponential
+    analyses = {name: analysis_for(500 + i) for i, name in enumerate(["c", "a", "d"])}
+    draws = 80.0 * np.random.default_rng(999).lognormal(mean=0.0, sigma=1.0, size=2_000) + 40.0
+    analyses["b"] = (distfit.best_fit(draws), build_network(np.clip(draws, 20.0, 8000.0), GRID))
+    report = corpus_report(analyses, alignment=alignment)
+    view = comparison_to_dict(report)
+    ids = list(analyses)
+    assert list(report.piece_ids) == [row["id"] for row in report.summary_rows] == ids
+    assert view["piece_ids"] == list(view["clique_histograms"]) == list(view["clique_sizes"]) == ids
+    for piece, (_, net) in analyses.items():
+        histogram = view["clique_histograms"][piece]
+        assert view["clique_sizes"][piece] == len(net.largest_clique) == sum(histogram.values())
+        assert histogram == net.clique_octaves and list(histogram) == list(network.OCTAVE_BUCKETS)
+    families = Counter(fit.best.value for fit, _ in analyses.values())
+    assert len(families) == 2
+    shares = view["family_share"]
+    assert list(shares) == sorted(families)
+    assert {family: entry["count"] for family, entry in shares.items()} == families
+    assert sum(entry["count"] for entry in shares.values()) == len(ids)
+    assert all(entry["share"] == entry["count"] / len(ids) for entry in shares.values())
 
 
 def test_summary_csv_parses_and_matches():
@@ -285,14 +309,8 @@ def test_summary_csv_parses_and_matches():
 def test_matrix_csv_null_cells_empty():
     a = manual_network([60, 62], [(60, 62)])
     b = manual_network([60, 62], [(60, 62)])
-    report = CorpusReport(
-        piece_ids=("a", "b"),
-        corr_matrix=degree_correlation_matrix({"a": a, "b": b}),
-        clique_histograms={},
-        clique_sizes={},
-        summary_rows=[],
-        family_share={},
-    )
+    # matrix_csv reads only the rows' ids
+    report = CorpusReport(corr_matrix=degree_correlation_matrix({"a": a, "b": b}), summary_rows=[{"id": "a"}, {"id": "b"}])
     text = matrix_csv(report)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["piece", "a", "b"]

@@ -70,6 +70,19 @@ def test_fit_svg_of_the_ascending_sample_equals_any_order(exp_fit_figure):
     assert svg_report.render_fit_svg(np.random.default_rng(9).permutation(draws), report) == data
 
 
+def test_fit_svg_of_a_span_too_narrow_for_numpy_bins():
+    # 19e-13 at 1e3 is 17 float spacings: numpy cannot make 60 finite-sized bins there
+    x = 1e3 + np.arange(20) * 1e-13
+    report = distfit.best_fit(x)
+    with pytest.raises(ValueError, match="Too many bins"):
+        np.histogram(x, svg_report._FIT_BINS)
+    root = parse(svg_report.render_fit_svg(x, report))
+    assert len(find_all(root, "path")) == 2
+    bars = find_all(root, "rect", "hist")
+    assert abs(sum(float(r.get("data-area")) for r in bars) - 1.0) < 1e-9
+    assert all(60.0 <= float(r.get("x")) <= 480.0 for r in bars)  # inside the left panel
+
+
 # lo + (hi - lo) rounds below hi, so the histogram's upper edge lies below the largest value
 ROUNDS_BELOW = (-1.8151915633927285, 1.3489335688193516)
 
@@ -213,14 +226,8 @@ def test_heatmap_cell_count_and_labels():
 
 
 def test_heatmap_null_cells_en_dash():
-    report = CorpusReport(
-        piece_ids=("a", "b"),
-        corr_matrix=[[1.0, None], [None, 1.0]],
-        clique_histograms={},
-        clique_sizes={},
-        summary_rows=[],
-        family_share={},
-    )
+    # the heatmap reads only the rows' ids
+    report = CorpusReport(corr_matrix=[[1.0, None], [None, 1.0]], summary_rows=[{"id": "a"}, {"id": "b"}])
     root = parse(svg_report.render_heatmap_svg(report))
     texts = [t.text for t in find_all(root, "text")]
     assert "–" in texts
@@ -232,17 +239,13 @@ def test_clique_bars_structure():
     report = random_corpus_report(3, seed=4)
     root = parse(svg_report.render_clique_bars_svg(report))
     bars = find_all(root, "rect", "bar")
-    nonzero = sum(
-        1 for p in report.piece_ids for b, c in report.clique_histograms[p].items() if c > 0
-    )
+    nonzero = sum(1 for row in report.summary_rows for b in OCTAVE_BUCKETS if row[b] > 0)
     assert len(bars) == nonzero
     # per-piece data-count attributes must sum to the clique size
-    for piece in report.piece_ids:
-        total = sum(int(b.get("data-count")) for b in bars if b.get("data-piece") == piece)
-        assert total == report.clique_sizes[piece]
+    for row in report.summary_rows:
+        total = sum(int(b.get("data-count")) for b in bars if b.get("data-piece") == row["id"])
+        assert total == row["clique_size"]
     labels = [t.text for t in find_all(root, "text", "bucket-label")]
-    from soundnet.network import OCTAVE_BUCKETS
-
     assert labels == list(OCTAVE_BUCKETS)
 
 
@@ -258,16 +261,13 @@ ESCAPED_IDS = ("a<b", "c&d", "e>f", 'g"h')
 
 
 def hand_report(ids, matrix=None):
-    """A CorpusReport with set matrix cells and clique histograms; no fit runs."""
-    hists = {p: {bucket: (i + j) % 3 for j, bucket in enumerate(OCTAVE_BUCKETS)} for i, p in enumerate(ids)}
-    return CorpusReport(
-        piece_ids=tuple(ids),
-        corr_matrix=matrix,
-        clique_histograms=hists,
-        clique_sizes={p: sum(h.values()) for p, h in hists.items()},
-        summary_rows=[],
-        family_share={},
-    )
+    """A CorpusReport with set matrix cells and rows of ids and clique
+    histograms, the columns the corpus figures read; no fit runs."""
+    rows = []
+    for i, piece in enumerate(ids):
+        hist = {bucket: (i + j) % 3 for j, bucket in enumerate(OCTAVE_BUCKETS)}
+        rows.append({"id": piece, "clique_size": sum(hist.values()), **hist})
+    return CorpusReport(corr_matrix=matrix, summary_rows=rows)
 
 
 NULL_MATRIX = [[1.0, None, 0.5], [None, 1.0, -0.25], [0.5, -0.25, 1.0]]
